@@ -2,28 +2,35 @@
 
    Two guarded measurements, written to BENCH_simspeed.json.
 
-   Engine sweep — every registry kernel as a balanced four-thread
-   system, run to completion repeatedly under each engine variant
-   (legacy, decoded, soa) with the sentinel off, so the soa burst loop
-   actually engages. The figure of merit is simulated cycles per wall
-   second; the deterministic cycle count per run is read off a first
-   run and cross-checked across engines, so the rate is anchored to the
+   Simulation sweep — every registry kernel as a balanced four-thread
+   system, run to completion repeatedly, once with the sentinel off (the
+   burst path the one-shot callers take) and once with the sentinel
+   armed in [`Trap] mode (the per-step path every traffic caller — chip
+   shards and chains, chaos, throughput, fault and fuzz drivers — takes;
+   the sentinel stays silent on these safe allocations). The figure of
+   merit is simulated cycles per wall second; the deterministic cycle
+   count per run is read off a first run, so the rate is anchored to the
    machine model, not to repetitions.
 
    Pool matrix — a matrix of chip cells at different scales run through
-   {!Npra_chip.Shard} under both pool strategies (asserting the
+   {!Npra_chip.Shard} on one worker and on [jobs] workers (asserting the
    byte-identical contract as it goes), then the per-shard busy-cycle
-   costs replayed through {!Npra_par.Pool.plan} at jobs 1/2/4. On the
-   single-core CI hosts this repo actually runs on, wall clock cannot
-   show a scheduling win, so the guarded figure is the virtual-time
-   makespan ratio (fixed over steal) — deterministic on any host — and
-   the wall clocks are reported as observations only.
+   costs replayed through {!Npra_par.Pool.plan} at jobs 1/2/4 under the
+   static block schedule and the work-stealing one the pool runs. On
+   the single-core CI hosts this repo actually runs on, wall clock
+   cannot show a scheduling win, so the guarded figure is the
+   virtual-time makespan ratio (fixed over steal) — deterministic on
+   any host — and the wall clocks are reported as observations only.
 
    Floors (exit 1 below any): the makespan ratio at jobs 4 in every
-   mode; in full mode also the sweep-wide soa/decoded rate ratio and an
-   absolute soa cycles/sec floor. Quick mode only sanity-checks that
-   soa does not lose to decoded overall, because its quotas are too
-   short to defend a 2x claim against CI noise. *)
+   mode; in full mode also an absolute floor on the burst sweep rate.
+   That floor is a fixed number of cycles per second — the per-step
+   sweep rate of a committed report taken on another single-core host —
+   not a same-host comparison, so it guards against a gross slowdown of
+   the burst only. The per-step rate is reported but has no floor: it is
+   an observation, to be compared across reports from one host. Quick
+   mode skips the rate floor: its quotas are too short to defend a rate
+   against CI noise. *)
 
 open Npra_workloads
 open Npra_core
@@ -34,20 +41,17 @@ module Metrics = Npra_traffic.Metrics
 
 (* ---- floors: the committed claims CI holds this file to ---- *)
 
-let floor_soa_over_decoded = 2.0 (* full-mode sweep ratio *)
-let floor_soa_over_decoded_quick = 1.0 (* quick-mode sanity bound *)
-let floor_soa_cps = 2_000_000. (* absolute soa sweep rate, full mode *)
+let floor_sweep_cps = 38_096_623. (* absolute burst sweep rate, full mode *)
 let floor_pool_ratio_jobs4 = 1.2 (* fixed/steal makespan, every mode *)
 
 (* ------------------------------------------------------------------ *)
-(* Engine sweep.                                                       *)
+(* Simulation sweep.                                                   *)
 
 type kernel_speed = {
   k_name : string;
   k_cycles : int;  (* deterministic simulated cycles of one system run *)
-  k_legacy : float;  (* cycles per second *)
-  k_decoded : float;
-  k_soa : float;
+  k_cps : float;  (* cycles per second, burst path (sentinel off) *)
+  k_step_cps : float;  (* cycles per second, per-step path (sentinel armed) *)
 }
 
 let kernel_system spec =
@@ -74,48 +78,39 @@ let cps ~min_s ~cycles run =
    (program decode, row concatenation) outside the timed region. That
    is the steady-state rate the traffic layer actually sees — a
    dispatcher builds each engine's machine once and then drives it
-   through thousands of [run_until] slices — and it is the figure the
-   engine comparison is about: how fast an engine executes cycles, not
-   how fast programs decode. *)
+   through thousands of [run_until] slices — so the figure is how fast
+   the simulator executes cycles, not how fast programs decode. *)
 let measure_kernel ~quick spec =
   let progs, mem_image = kernel_system spec in
-  let run engine () =
-    let m = Machine.create ~engine ~sentinel:`Off ~mem_image progs in
+  let run sentinel () =
+    let m = Machine.create ~sentinel ~mem_image progs in
     let t0 = Unix.gettimeofday () in
     (match Machine.run_until m ~horizon:1_000_000_000 with
     | `Idle | `Horizon | `Halted _ -> ());
     Unix.gettimeofday () -. t0
   in
-  let cycles engine =
-    (Machine.report (Machine.run ~engine ~sentinel:`Off ~mem_image progs))
+  let c =
+    (Machine.report (Machine.run ~sentinel:`Off ~mem_image progs))
       .Machine.total_cycles
   in
-  let c = cycles `Soa in
-  List.iter
-    (fun engine ->
-      if cycles engine <> c then
-        Fmt.failwith "simspeed: engine cycle counts diverge on %s"
-          spec.Workload.id)
-    [ `Decoded; `Legacy ];
   let min_s = if quick then 0.02 else 0.25 in
   {
     k_name = spec.Workload.id;
     k_cycles = c;
-    k_legacy = cps ~min_s ~cycles:c (run `Legacy);
-    k_decoded = cps ~min_s ~cycles:c (run `Decoded);
-    k_soa = cps ~min_s ~cycles:c (run `Soa);
+    k_cps = cps ~min_s ~cycles:c (run `Off);
+    k_step_cps = cps ~min_s ~cycles:c (run `Trap);
   }
 
-(* Sweep-wide rate of one engine: total cycles over the time it takes
-   to simulate every kernel once at its measured per-kernel rate — the
+(* Sweep-wide rate: total cycles over the time it takes to simulate
+   every kernel once at its measured per-kernel rate — the
    cycle-weighted harmonic mean, so no kernel's rate is over-counted. *)
-let sweep_cps kernels rate_of =
+let sweep_cps rate kernels =
   let cycles =
     List.fold_left (fun a k -> a +. float_of_int k.k_cycles) 0. kernels
   in
   let seconds =
     List.fold_left
-      (fun a k -> a +. (float_of_int k.k_cycles /. rate_of k))
+      (fun a k -> a +. (float_of_int k.k_cycles /. rate k))
       0. kernels
   in
   cycles /. seconds
@@ -212,49 +207,42 @@ let timed f =
 let run ~quick ~seed ~jobs ~json =
   let seed = Option.value seed ~default:42 in
   Fmt.pr
-    "@.== Simspeed: engine variants + work-stealing pool model (seed %d, %d \
+    "@.== Simspeed: simulation rate + work-stealing pool model (seed %d, %d \
      jobs%s) ==@."
     seed jobs
     (if quick then ", quick" else "");
   let t0 = Unix.gettimeofday () in
-  (* engine sweep *)
-  Fmt.pr "%-12s %10s %14s %14s %14s %8s@." "kernel" "cycles" "legacy c/s"
-    "decoded c/s" "soa c/s" "soa/dec";
+  (* simulation sweep *)
+  Fmt.pr "%-12s %10s %14s %14s@." "kernel" "cycles" "c/s" "per-step c/s";
   let kernels =
     List.map
       (fun spec ->
         let k = measure_kernel ~quick spec in
-        Fmt.pr "%-12s %10d %14.0f %14.0f %14.0f %7.2fx@." k.k_name k.k_cycles
-          k.k_legacy k.k_decoded k.k_soa (k.k_soa /. k.k_decoded);
+        Fmt.pr "%-12s %10d %14.0f %14.0f@." k.k_name k.k_cycles k.k_cps
+          k.k_step_cps;
         k)
       Registry.all
   in
-  let s_legacy = sweep_cps kernels (fun k -> k.k_legacy) in
-  let s_decoded = sweep_cps kernels (fun k -> k.k_decoded) in
-  let s_soa = sweep_cps kernels (fun k -> k.k_soa) in
-  let soa_over_decoded = s_soa /. s_decoded in
-  Fmt.pr "%-12s %10s %14.0f %14.0f %14.0f %7.2fx@." "sweep" "-" s_legacy
-    s_decoded s_soa soa_over_decoded;
-  (* pool matrix: both strategies must agree byte for byte *)
+  let sweep = sweep_cps (fun k -> k.k_cps) kernels in
+  let step_sweep = sweep_cps (fun k -> k.k_step_cps) kernels in
+  Fmt.pr "%-12s %10s %14.0f %14.0f@." "sweep" "-" sweep step_sweep;
+  (* pool matrix: one worker and [jobs] workers must agree byte for byte *)
   let cells = cells ~quick in
-  let fixed_runs, wall_fixed =
-    timed (fun () ->
-        run_matrix ~pool:(Pool.create ~jobs ~strategy:`Fixed ()) ~seed ~cells)
+  let seq_runs, wall_seq =
+    timed (fun () -> run_matrix ~pool:Pool.sequential ~seed ~cells)
   in
-  let steal_runs, wall_steal =
-    timed (fun () ->
-        run_matrix ~pool:(Pool.create ~jobs ~strategy:`Steal ()) ~seed ~cells)
+  let par_runs, wall_par =
+    timed (fun () -> run_matrix ~pool:(Pool.create ~jobs ()) ~seed ~cells)
   in
   let identical =
     List.for_all2
       (fun a b -> String.equal (Shard.to_json a) (Shard.to_json b))
-      fixed_runs steal_runs
+      seq_runs par_runs
   in
   if not identical then
     Fmt.epr
-      "SIMSPEED FAILURE: shard matrix differs between fixed and stealing \
-       pools@.";
-  let costs = matrix_costs steal_runs in
+      "SIMSPEED FAILURE: shard matrix differs between 1 and %d workers@." jobs;
+  let costs = matrix_costs par_runs in
   let plans = List.map (makespans ~costs) [ 1; 2; 4 ] in
   Fmt.pr "@.pool model over %d shard tasks (costs %d..%d busy-cycles):@."
     (Array.length costs)
@@ -267,26 +255,21 @@ let run ~quick ~seed ~jobs ~json =
          steals)@."
         m.mk_jobs m.mk_fixed m.mk_steal (ratio m) m.mk_steals)
     plans;
-  Fmt.pr "  matrix wall clock at %d jobs: fixed %.3fs, steal %.3fs@." jobs
-    wall_fixed wall_steal;
+  Fmt.pr "  matrix wall clock: 1 job %.3fs, %d jobs %.3fs@." wall_seq jobs
+    wall_par;
   let jobs4 = List.nth plans 2 in
   (* floors *)
-  let ratio_floor = if quick then floor_soa_over_decoded_quick else floor_soa_over_decoded in
-  let ok_engine = soa_over_decoded >= ratio_floor in
-  let ok_abs = quick || s_soa >= floor_soa_cps in
+  let ok_rate = quick || sweep >= floor_sweep_cps in
   let ok_pool = ratio jobs4 >= floor_pool_ratio_jobs4 in
-  if not ok_engine then
-    Fmt.epr "SIMSPEED FAILURE: soa/decoded sweep ratio %.2f below floor %.2f@."
-      soa_over_decoded ratio_floor;
-  if not ok_abs then
-    Fmt.epr "SIMSPEED FAILURE: soa sweep rate %.0f c/s below floor %.0f@."
-      s_soa floor_soa_cps;
+  if not ok_rate then
+    Fmt.epr "SIMSPEED FAILURE: sweep rate %.0f c/s below floor %.0f@." sweep
+      floor_sweep_cps;
   if not ok_pool then
     Fmt.epr
       "SIMSPEED FAILURE: fixed/steal makespan ratio %.2f at jobs 4 below \
        floor %.2f@."
       (ratio jobs4) floor_pool_ratio_jobs4;
-  let ok = ok_engine && ok_abs && ok_pool && identical in
+  let ok = ok_rate && ok_pool && identical in
   (* JSON *)
   let seconds = Unix.gettimeofday () -. t0 in
   (match json with
@@ -298,21 +281,17 @@ let run ~quick ~seed ~jobs ~json =
     add "  \"benchmark\": \"simspeed\",\n";
     add "  \"quick\": %b,\n" quick;
     add "  \"seed\": %d,\n" seed;
-    add "  \"engines\": {\n";
+    add "  \"sim\": {\n";
     add "    \"kernels\": [\n%s\n    ],\n"
       (String.concat ",\n"
          (List.map
             (fun k ->
               Fmt.str
-                {|      {"name": "%s", "cycles": %d, "legacy_cps": %.0f, "decoded_cps": %.0f, "soa_cps": %.0f, "soa_over_decoded": %.3f}|}
-                k.k_name k.k_cycles k.k_legacy k.k_decoded k.k_soa
-                (k.k_soa /. k.k_decoded))
+                {|      {"name": "%s", "cycles": %d, "cps": %.0f, "step_cps": %.0f}|}
+                k.k_name k.k_cycles k.k_cps k.k_step_cps)
             kernels));
-    add
-      "    \"sweep\": {\"legacy_cps\": %.0f, \"decoded_cps\": %.0f, \
-       \"soa_cps\": %.0f, \"soa_over_decoded\": %.3f, \"soa_over_legacy\": \
-       %.3f}\n"
-      s_legacy s_decoded s_soa soa_over_decoded (s_soa /. s_legacy);
+    add "    \"sweep_cps\": %.0f,\n" sweep;
+    add "    \"step_sweep_cps\": %.0f\n" step_sweep;
     add "  },\n";
     add "  \"pool\": {\n";
     add "    \"cells\": [%s],\n"
@@ -334,14 +313,14 @@ let run ~quick ~seed ~jobs ~json =
                 {|"jobs%d": {"fixed": %d, "steal": %d, "ratio": %.3f, "steals": %d}|}
                 m.mk_jobs m.mk_fixed m.mk_steal (ratio m) m.mk_steals)
             plans));
-    add "    \"identical_at_fixed_and_steal\": %b,\n" identical;
-    add "    \"wall_clock_fixed_s\": %.3f,\n" wall_fixed;
-    add "    \"wall_clock_steal_s\": %.3f\n" wall_steal;
+    add "    \"identical_at_jobs_1_and_n\": %b,\n" identical;
+    add "    \"wall_clock_jobs_1_s\": %.3f,\n" wall_seq;
+    add "    \"wall_clock_jobs_n_s\": %.3f\n" wall_par;
     add "  },\n";
     add
-      "  \"floors\": {\"soa_over_decoded_min\": %.2f, \"soa_cps_min\": %.0f, \
-       \"pool_ratio_jobs4_min\": %.2f, \"enforced_engine_floors\": %b},\n"
-      ratio_floor floor_soa_cps floor_pool_ratio_jobs4 (not quick);
+      "  \"floors\": {\"sweep_cps_min\": %.0f, \"pool_ratio_jobs4_min\": \
+       %.2f, \"enforced_rate_floor\": %b},\n"
+      floor_sweep_cps floor_pool_ratio_jobs4 (not quick);
     add "  \"ok\": %b,\n" ok;
     add "  \"wall_clock\": {\"jobs\": %d, \"seconds\": %.3f}\n" jobs seconds;
     add "}\n";
@@ -349,7 +328,7 @@ let run ~quick ~seed ~jobs ~json =
     Fmt.pr "wrote %s@." path);
   if not ok then begin
     Fmt.epr
-      "SIMSPEED HARNESS FAILURE: an engine or pool floor was missed (see \
+      "SIMSPEED HARNESS FAILURE: a rate or pool floor was missed (see \
        above)@.";
     exit 1
   end

@@ -178,8 +178,8 @@ let mix ~seed a b =
 
 let packet_size ~seed id = 1 + (mix ~seed id 5 mod max_packet_size)
 
-let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa) ?machine_config
-    ?(slice = 256) ?drain_budget ~seed ~duration cf =
+let run ?(pool = Npra_par.Pool.sequential) ?machine_config ?(slice = 256)
+    ?drain_budget ~seed ~duration cf =
   if cf.cf_stages = [] then Fmt.invalid_arg "Chain.run: no stages";
   if cf.cf_sources < 1 then Fmt.invalid_arg "Chain.run: no sources";
   let machine_config =
@@ -220,8 +220,8 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa) ?machine_config
         let ws, progs, mem_image = stage_build.(si) in
         Array.init st.st_width (fun _ ->
             let m =
-              Machine.create ~config:machine_config ~engine:sim_engine
-                ~sentinel:`Trap ~mem_image progs
+              Machine.create ~config:machine_config ~sentinel:`Trap
+                ~mem_image progs
             in
             for i = 0 to st.st_threads - 1 do
               Machine.park_thread m i

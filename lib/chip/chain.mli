@@ -73,7 +73,6 @@ val conservation_ok : t -> bool
 
 val run :
   ?pool:Npra_par.Pool.t ->
-  ?sim_engine:Machine.engine ->
   ?machine_config:Machine.config ->
   ?slice:int ->
   ?drain_budget:int ->

@@ -59,9 +59,9 @@ let empty_metrics ~duration ~seed =
     rm_trail = [];
   }
 
-let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa)
-    ?(sentinel = `Trap) ?machine_config ?refresh ?chaos_spec ?shed ~seed
-    ~engines ~shards ~duration ~specs ~mem_image progs =
+let run ?(pool = Npra_par.Pool.sequential) ?(sentinel = `Trap) ?machine_config
+    ?refresh ?chaos_spec ?shed ~seed ~engines ~shards ~duration ~specs
+    ~mem_image progs =
   let shard_of = spread ~seed ~engines ~shards in
   let members = members_of shard_of shards in
   let nthreads = List.length progs in
@@ -81,7 +81,7 @@ let run ?(pool = Npra_par.Pool.sequential) ?(sim_engine = `Soa)
             in
             (* Fabric path only when chaos is requested; the inner pool
                stays sequential so pool tasks never nest. *)
-            Dispatch.run ~engines:n ~sim_engine ~sentinel ?machine_config
+            Dispatch.run ~engines:n ~sentinel ?machine_config
               ?refresh ?chaos
               ?watchdog:
                 (Option.map (fun _ -> Dispatch.default_watchdog) chaos)

@@ -39,7 +39,6 @@ type t = {
 
 val run :
   ?pool:Npra_par.Pool.t ->
-  ?sim_engine:Machine.engine ->
   ?sentinel:Machine.sentinel_mode ->
   ?machine_config:Machine.config ->
   ?refresh:(engine:int -> thread:int -> seq:int -> (int * int) list) ->

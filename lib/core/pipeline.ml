@@ -460,9 +460,7 @@ let probe_served probe programs =
       (List.length probe.probe_traffic)
       nthd;
   match
-    let m =
-      Machine.create ~engine:`Soa ~mem_image:probe.probe_mem_image programs
-    in
+    let m = Machine.create ~mem_image:probe.probe_mem_image programs in
     for i = 0 to nthd - 1 do
       Machine.park_thread m i
     done;

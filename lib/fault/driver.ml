@@ -77,8 +77,7 @@ let kernel_report ?seed spec =
   (* Clean run, sentinel armed: must complete without any trap. *)
   let clean_fault, clean_cycles =
     match
-      Machine.run ~engine:`Soa ~sentinel:`Trap ~mem_image
-        bal.Pipeline.programs
+      Machine.run ~sentinel:`Trap ~mem_image bal.Pipeline.programs
     with
     | m -> (None, (Machine.report m).Machine.total_cycles)
     | exception Machine.Corruption c ->
@@ -105,8 +104,7 @@ let kernel_report ?seed spec =
       in
       let runtime =
         match
-          Machine.run ~config ~engine:`Soa ~sentinel:`Trap ~mem_image
-            inj.Mutate.programs
+          Machine.run ~config ~sentinel:`Trap ~mem_image inj.Mutate.programs
         with
         | _ -> Silent
         | exception Machine.Corruption c -> Trapped c

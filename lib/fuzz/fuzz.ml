@@ -47,8 +47,7 @@ let run_input ?(nreg = 64) ?(max_cycles = 30_000) lang src =
     | [] -> (
       let config = { Machine.default_config with nreg; max_cycles } in
       match
-        Machine.run ~config ~engine:`Soa ~sentinel:`Trap ~mem_image:[]
-          bal.Pipeline.programs
+        Machine.run ~config ~sentinel:`Trap ~mem_image:[] bal.Pipeline.programs
       with
       | _ -> Accepted
       | exception Machine.Stuck s ->

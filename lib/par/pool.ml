@@ -1,20 +1,15 @@
-(* A fixed-size domain pool with deterministic, task-indexed results,
-   under either of two scheduling strategies.
+(* A fixed-size domain pool with deterministic, task-indexed results.
 
-   [`Fixed] deals tasks [0, n) out as contiguous per-worker blocks and
-   runs each block to completion on its worker — the static partition
-   whose makespan is bounded by its slowest block.
-
-   [`Steal] (the default) starts from the same deal, but each block is
-   a per-worker deque: the owner pops from the bottom ([lo]), an idle
-   worker steals from the top ([hi - 1]). Because this pool never
-   spawns tasks mid-run, a deque is always a contiguous index range
-   [lo, hi), so a mutex per deque — held for a couple of int updates —
-   keeps both ends consistent; contention is one brief lock per task
-   transfer, not a central run-list lock on every scheduler operation
-   (the libgomp bottleneck the laser runtime notes call out). A worker
-   exits after its own deque and a full victim scan come up empty,
-   which is stable precisely because nothing is ever pushed.
+   Tasks [0, n) are dealt out as contiguous per-worker blocks, and each
+   block is a per-worker deque: the owner pops from the bottom ([lo]),
+   an idle worker steals from the top ([hi - 1]). Because this pool
+   never spawns tasks mid-run, a deque is always a contiguous index
+   range [lo, hi), so a mutex per deque — held for a couple of int
+   updates — keeps both ends consistent; contention is one brief lock
+   per task transfer, not a central run-list lock on every scheduler
+   operation (the libgomp bottleneck the laser runtime notes call out).
+   A worker exits after its own deque and a full victim scan come up
+   empty, which is stable precisely because nothing is ever pushed.
 
    Determinism argument: scheduling decides only *who* runs a task,
    never *what* it computes — slot [i] of the result array is written
@@ -23,8 +18,7 @@
    observes a fully written array regardless of interleaving.
    Exceptions are captured per task and re-raised in the caller, lowest
    task index first. A pure task function therefore produces the same
-   array at any [jobs] count and either strategy; a failing run fails
-   identically too.
+   array at any [jobs] count; a failing run fails identically too.
 
    Domains are spawned per {!tasks} call rather than parked between
    calls: the tasks this repo fans out (traffic engines, allocations,
@@ -32,23 +26,20 @@
    a few hundred microseconds of spawn cost disappears, and there is no
    pool lifecycle to leak or deadlock. *)
 
-type strategy = [ `Fixed | `Steal ]
+type t = { n_jobs : int; steals : int Atomic.t }
 
-type t = { n_jobs : int; strategy : strategy; steals : int Atomic.t }
-
-let create ?(jobs = 1) ?(strategy = `Steal) () =
+let create ?(jobs = 1) () =
   if jobs < 1 then Fmt.invalid_arg "Pool.create: jobs must be >= 1 (got %d)" jobs;
-  { n_jobs = jobs; strategy; steals = Atomic.make 0 }
+  { n_jobs = jobs; steals = Atomic.make 0 }
 
-let sequential = { n_jobs = 1; strategy = `Steal; steals = Atomic.make 0 }
+let sequential = { n_jobs = 1; steals = Atomic.make 0 }
 
 let jobs t = t.n_jobs
-let strategy t = t.strategy
 let steal_count t = Atomic.get t.steals
 
-(* The contiguous block deal both strategies start from: worker [k] of
-   [w] owns [k*n/w, (k+1)*n/w) — every task dealt, blocks within one
-   task of equal size. *)
+(* The contiguous block deal the deques start from (and the static
+   schedule {!plan} models): worker [k] of [w] owns [k*n/w, (k+1)*n/w)
+   — every task dealt, blocks within one task of equal size. *)
 let block_lo ~n ~w k = k * n / w
 let block_hi ~n ~w k = (k + 1) * n / w
 
@@ -92,49 +83,38 @@ let tasks t n f =
       run i
     done
   else begin
-    (match t.strategy with
-    | `Fixed ->
-      let worker k () =
-        for i = block_lo ~n ~w k to block_hi ~n ~w k - 1 do
-          run i
-        done
-      in
-      (* the caller's domain is worker number zero *)
-      let spawned = Array.init (w - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-      worker 0 ();
-      Array.iter Domain.join spawned
-    | `Steal ->
-      let deques =
-        Array.init w (fun k ->
-            { lock = Mutex.create (); lo = block_lo ~n ~w k; hi = block_hi ~n ~w k })
-      in
-      let worker k () =
-        let continue = ref true in
-        while !continue do
-          match pop_own deques.(k) with
-          | Some i -> run i
-          | None ->
-            (* own deque dry: scan victims starting at the right-hand
-               neighbour; a full empty scan means no task remains
-               anywhere, so the worker can exit *)
-            let found = ref None in
-            let v = ref 1 in
-            while !found = None && !v < w do
-              (match pop_steal deques.((k + !v) mod w) with
-              | Some i -> found := Some i
-              | None -> ());
-              incr v
-            done;
-            (match !found with
-            | Some i ->
-              Atomic.incr t.steals;
-              run i
-            | None -> continue := false)
-        done
-      in
-      let spawned = Array.init (w - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-      worker 0 ();
-      Array.iter Domain.join spawned)
+    let deques =
+      Array.init w (fun k ->
+          { lock = Mutex.create (); lo = block_lo ~n ~w k; hi = block_hi ~n ~w k })
+    in
+    let worker k () =
+      let continue = ref true in
+      while !continue do
+        match pop_own deques.(k) with
+        | Some i -> run i
+        | None ->
+          (* own deque dry: scan victims starting at the right-hand
+             neighbour; a full empty scan means no task remains
+             anywhere, so the worker can exit *)
+          let found = ref None in
+          let v = ref 1 in
+          while !found = None && !v < w do
+            (match pop_steal deques.((k + !v) mod w) with
+            | Some i -> found := Some i
+            | None -> ());
+            incr v
+          done;
+          (match !found with
+          | Some i ->
+            Atomic.incr t.steals;
+            run i
+          | None -> continue := false)
+      done
+    in
+    (* the caller's domain is worker number zero *)
+    let spawned = Array.init (w - 1) (fun k -> Domain.spawn (worker (k + 1))) in
+    worker 0 ();
+    Array.iter Domain.join spawned
   end;
   Array.map
     (function
@@ -151,16 +131,17 @@ let map_list t f xs =
 (* ------------------------------------------------------------------ *)
 (* Virtual-time scheduling model.
 
-   [plan] replays either strategy's scheduling policy over a vector of
-   task costs in deterministic virtual time: all workers run at unit
-   speed, and whenever several could act, the earliest-free worker (ties
-   to the lowest index) takes the next task by exactly the policy above
-   — own bottom first, then a victim scan from the right-hand
-   neighbour, stealing the victim's top. It is a pure function of
-   (strategy, jobs, costs), so `bench simspeed` and the test suite can
-   assert scheduling properties — makespans, steal counts, the
-   steal-never-loses bound — that a wall clock on a single-core host
-   could never show.
+   [plan] replays a scheduling policy over a vector of task costs in
+   deterministic virtual time. [`Steal] is the policy {!tasks} runs: all
+   workers run at unit speed, and whenever several could act, the
+   earliest-free worker (ties to the lowest index) takes the next task
+   by exactly the policy above — own bottom first, then a victim scan
+   from the right-hand neighbour, stealing the victim's top. [`Fixed]
+   is the static schedule it improves on: each worker runs exactly its
+   dealt block. [plan] is a pure function of (strategy, jobs, costs), so
+   `bench simspeed` and the test suite can assert scheduling properties
+   — makespans, steal counts, the steal-never-loses bound — that a wall
+   clock on a single-core host could never show.
 
    Steal never loses to fixed here: the deal is identical, stealing
    only happens when a worker would otherwise idle while tasks remain,
@@ -168,13 +149,15 @@ let map_list t f xs =
    later than the owner would have — so every task's start time is <=
    its fixed-schedule start time, and the makespan follows. *)
 
+type strategy = [ `Fixed | `Steal ]
+
 type plan = {
   p_makespan : int;  (* virtual completion time of the last task *)
   p_steals : int;
   p_worker_busy : int array;  (* per-worker sum of executed task costs *)
 }
 
-let plan ~strategy ~jobs ~costs =
+let plan ~(strategy : strategy) ~jobs ~costs =
   if jobs < 1 then Fmt.invalid_arg "Pool.plan: jobs must be >= 1 (got %d)" jobs;
   Array.iter
     (fun c ->

@@ -159,9 +159,6 @@ type status =
 type thread = {
   id : int;
   prog : Prog.t;
-  dcode : int array;
-      (* pre-decoded program, 4 words per instruction (see the decoder
-         below); [||] when the machine runs the legacy engine *)
   mutable pc : int;
   mutable status : status;
   mutable instrs : int;
@@ -187,18 +184,16 @@ type timeline_event =
 
 type sentinel_mode = [ `Off | `Trap | `Quarantine ]
 
-type engine = [ `Decoded | `Legacy | `Soa ]
-
-(* Struct-of-arrays execution state for the [`Soa] engine: every
-   thread's decoded quads concatenated into one machine-wide flat code
-   row, indexed through per-thread base/limit rows. Together with the
-   shared register row [t.regs] this is the whole working set the
-   batched burst loop touches. The per-thread pc and status deliberately
-   stay in the [thread] record: [park_thread]/[restart_thread]/
-   [swap_programs] mutate them between slices, and a mirrored row would
-   be a divergence hazard — the burst instead holds them in locals for
-   the duration of a slice. Mutable so a hot-swap can rebuild the rows
-   in place. *)
+(* Struct-of-arrays execution state: every thread's decoded quads (see
+   the decoder below) concatenated into one machine-wide flat code row,
+   indexed through per-thread base/limit rows. Both execution paths
+   fetch from it; together with the shared register row [t.regs] it is
+   the whole working set the batched burst loop touches. The per-thread
+   pc and status deliberately stay in the [thread] record:
+   [park_thread]/[restart_thread]/[swap_programs] mutate them between
+   slices, and a mirrored row would be a divergence hazard — the burst
+   instead holds them in locals for the duration of a slice. Mutable so
+   a hot-swap can rebuild the rows in place. *)
 type soa = {
   mutable s_code : int array;  (* all threads' quads, concatenated *)
   mutable s_base : int array;  (* per-thread first word in [s_code] *)
@@ -206,9 +201,9 @@ type soa = {
   mutable s_clean : bool array;
       (* per thread: every register operand of every quad is a valid
          file index, proven once at build time, so the burst loop can
-         access the register row unchecked; a thread with any
-         out-of-range operand takes the per-step decoded path instead,
-         which traps at access time exactly like the legacy engine *)
+         access the register row unchecked; a machine with any
+         unclean thread runs per-step instead, which traps at access
+         time *)
 }
 
 type sentinel = {
@@ -221,7 +216,6 @@ type sentinel = {
 
 type t = {
   config : config;
-  engine : engine;
   regs : int array;
   mem : Memory.t;
   threads : thread array;
@@ -247,11 +241,11 @@ type t = {
       (* chaos-injected hang: while [cycle < stalled_until] a bounded
          run advances the clock but retires nothing — the observable a
          dispatcher-level watchdog detects *)
-  soa : soa option;  (* [Some] exactly when [engine = `Soa] *)
+  soa : soa;
   soa_fast : bool;
       (* the batched burst is sound only with no sentinel bookkeeping
-         and no timeline recording; otherwise [`Soa] takes the decoded
-         per-step path, which is shared code and trivially equal *)
+         and no timeline recording; otherwise the machine takes the
+         per-step path, which observes both *)
 }
 
 let status_view th =
@@ -272,8 +266,8 @@ let statuses t = Array.to_list (Array.map status_view t.threads)
 (* ------------------------------------------------------------------ *)
 (* Pre-decoded program form.
 
-   The decoded engine flattens each program into an immutable int array
-   of four words per instruction — [op; f1; f2; f3] — with register
+   Every program is flattened into an int array of four words per
+   instruction — [op; f1; f2; f3] — with register
    operands resolved to file indices and branch targets to instruction
    indices (sound because {!Prog.make} validates every target). [step]
    on this form touches no lists, closures or label tables and allocates
@@ -302,10 +296,9 @@ let alu_of_int =
 let cond_of_int =
   [| Instr.Eq; Instr.Ne; Instr.Lt; Instr.Ge; Instr.Gt; Instr.Le |]
 
-(* Register number without a file-bounds check: bounds are still checked
-   at access time (like the legacy engine), so [Out_of_file] traps on
-   the same cycle under both engines. [create] has already rejected
-   non-physical programs. *)
+(* Register number without a file-bounds check: bounds are checked at
+   access time, so [Out_of_file] traps on the cycle the register is
+   touched. [create] has already rejected non-physical programs. *)
 let rnum = function
   | Reg.P n -> n
   | Reg.V _ as r -> raise (Stuck (Virtual_operand { reg = r }))
@@ -368,35 +361,36 @@ let quad_regs_ok ~nreg code w =
     | 17 (* movi *) -> ok code.(w + 1)
     | _ -> true
 
-(* Concatenate every thread's quads into the machine-wide code row,
-   recording each thread's word range and whether every register operand
-   is file-bounds-clean (see [s_clean]). Threads with no program occupy
-   an empty range, which the burst's fetch guard rejects exactly like
-   the decoded engine's fetch of an empty [dcode]. *)
+(* Decode every thread's program and concatenate the quads into the
+   machine-wide code row, recording each thread's word range and whether
+   every register operand is file-bounds-clean (see [s_clean]). Threads
+   with no program occupy an empty range, which both fetch guards
+   reject. *)
 let build_soa ~nreg threads =
   let nthd = Array.length threads in
-  let total = Array.fold_left (fun a th -> a + Array.length th.dcode) 0 threads in
+  let dcode = Array.map (fun th -> decode th.prog) threads in
+  let total = Array.fold_left (fun a d -> a + Array.length d) 0 dcode in
   let code = Array.make (max 1 total) 0 in
   let base = Array.make nthd 0 and lim = Array.make nthd 0 in
   let clean = Array.make nthd true in
   let off = ref 0 in
   Array.iteri
-    (fun i th ->
-      let len = Array.length th.dcode in
+    (fun i d ->
+      let len = Array.length d in
       base.(i) <- !off;
       lim.(i) <- !off + len;
-      Array.blit th.dcode 0 code !off len;
+      Array.blit d 0 code !off len;
       let w = ref !off in
       while !w < !off + len do
         if not (quad_regs_ok ~nreg code !w) then clean.(i) <- false;
         w := !w + 4
       done;
       off := !off + len)
-    threads;
+    dcode;
   { s_code = code; s_base = base; s_lim = lim; s_clean = clean }
 
-let create ?(config = default_config) ?(engine = `Decoded) ?(mem_image = [])
-    ?(timeline = false) ?(sentinel = `Off) progs =
+let create ?(config = default_config) ?(mem_image = []) ?(timeline = false)
+    ?(sentinel = `Off) progs =
   List.iter
     (fun p ->
       if not (Prog.all_physical p) then
@@ -413,9 +407,6 @@ let create ?(config = default_config) ?(engine = `Decoded) ?(mem_image = [])
            {
              id;
              prog;
-             dcode = (match engine with
-               | `Decoded | `Soa -> decode prog
-               | `Legacy -> [||]);
              pc = 0;
              status = Ready;
              instrs = 0;
@@ -432,15 +423,11 @@ let create ?(config = default_config) ?(engine = `Decoded) ?(mem_image = [])
   in
   {
     config;
-    engine;
     regs = Array.make config.nreg 0;
     mem;
     threads;
-    soa =
-      (match engine with
-      | `Soa -> Some (build_soa ~nreg:config.nreg threads)
-      | `Decoded | `Legacy -> None);
-    soa_fast = (engine = `Soa && sentinel = `Off && not timeline);
+    soa = build_soa ~nreg:config.nreg threads;
+    soa_fast = (sentinel = `Off && not timeline);
     cycle = 0;
     dispatches = 0;
     busy_cycles = 0;
@@ -473,10 +460,9 @@ let record t thread event =
 
 let timeline t = List.rev t.timeline_rev
 
-(* All register traffic funnels through [read_idx]/[write_idx]: the
-   file-bounds check and the sentinel's ownership bookkeeping happen at
-   access time, by register {e index}, so the decoded and legacy engines
-   share exactly the same trap and corruption behaviour. *)
+(* All per-step register traffic funnels through [read_idx]/[write_idx]:
+   the file-bounds check and the sentinel's ownership bookkeeping happen
+   at access time, by register {e index}. *)
 
 let read_idx t th n =
   if n < 0 || n >= t.config.nreg then
@@ -520,9 +506,6 @@ let write_idx t th n v =
   | None -> ());
   t.regs.(n) <- v
 
-let read_reg t th r = read_idx t th (rnum r)
-let write_reg t th r v = write_idx t th (rnum r) v
-
 (* Snapshot the yielding thread's register view: which registers it owns
    (it wrote them last) and their values. A later read that finds a
    foreign owner proves another thread clobbered the register across
@@ -537,10 +520,6 @@ let snapshot_on_switch t th =
       value.(n) <- t.regs.(n)
     done
 
-let operand_value t th = function
-  | Instr.Reg r -> read_reg t th r
-  | Instr.Imm n -> n
-
 (* Blocked cycles for one architectural access: the address's tier when
    the config carries a hierarchy, else the flat [mem_latency]. *)
 let access_latency t a =
@@ -548,83 +527,21 @@ let access_latency t a =
   | None -> t.config.mem_latency
   | Some h -> Memory.latency h a
 
-(* Executes one instruction of [th]; returns [`Continue] to keep running
-   the same thread or [`Yield] when the PU must be rescheduled. This is
-   the legacy engine, interpreting [Instr.t] directly; kept as the
-   differential oracle for the decoded engine below. *)
-let step_legacy t th =
-  let ins = Prog.instr th.prog th.pc in
-  t.cycle <- t.cycle + 1;
-  t.busy_cycles <- t.busy_cycles + 1;
-  th.instrs <- th.instrs + 1;
-  let next = th.pc + 1 in
-  match ins with
-  | Instr.Alu { op; dst; src1; src2 } ->
-    let v = Instr.eval_alu op (read_reg t th src1) (operand_value t th src2) in
-    write_reg t th dst v;
-    th.pc <- next;
-    `Continue
-  | Instr.Mov { dst; src } ->
-    th.moves <- th.moves + 1;
-    let v = read_reg t th src in
-    write_reg t th dst v;
-    th.pc <- next;
-    `Continue
-  | Instr.Movi { dst; imm } ->
-    write_reg t th dst imm;
-    th.pc <- next;
-    `Continue
-  | Instr.Load { dst; addr; off } ->
-    let a = read_reg t th addr + off in
-    let v = Memory.read t.mem a in
-    th.loads <- th.loads + 1;
-    th.ctx_events <- th.ctx_events + 1;
-    th.pc <- next;
-    th.pending_writeback <- Some (rnum dst, v);
-    th.status <- Blocked { until = t.cycle + access_latency t a };
-    record t th.id Blocked_on_memory;
-    `Yield
-  | Instr.Store { src; addr; off } ->
-    let a = read_reg t th addr + off in
-    let v = read_reg t th src in
-    Memory.write t.mem a v;
-    th.store_trace_rev <- (a, v) :: th.store_trace_rev;
-    th.stores <- th.stores + 1;
-    th.ctx_events <- th.ctx_events + 1;
-    th.pc <- next;
-    th.status <- Blocked { until = t.cycle + access_latency t a };
-    record t th.id Blocked_on_memory;
-    `Yield
-  | Instr.Br { target } ->
-    th.pc <- Prog.label_index th.prog target;
-    `Continue
-  | Instr.Brc { cond; src1; src2; target } ->
-    if Instr.eval_cond cond (read_reg t th src1) (operand_value t th src2)
-    then th.pc <- Prog.label_index th.prog target
-    else th.pc <- next;
-    `Continue
-  | Instr.Ctx_switch ->
-    th.ctx_events <- th.ctx_events + 1;
-    th.pc <- next;
-    record t th.id Yielded;
-    `Yield
-  | Instr.Nop ->
-    th.pc <- next;
-    `Continue
-  | Instr.Halt ->
-    th.status <- Done t.cycle;
-    record t th.id Halted;
-    `Yield
-
-(* The decoded engine: same observable semantics as [step_legacy],
-   executed off the thread's flat [dcode] quads. Operand reads keep the
-   legacy engine's order — OCaml evaluates arguments right-to-left, so
-   the legacy ALU and conditional branches read src2 {e before} src1 —
-   because with the sentinel armed the first corrupted read wins, and
-   the two engines must name the same register in the diagnostic. *)
-let step_decoded t th =
-  let code = th.dcode in
-  let base = th.pc * 4 in
+(* Executes one instruction of [th] off the flat rows; returns
+   [`Continue] to keep running the same thread or [`Yield] when the PU
+   must be rescheduled. This is the per-step path: every register access
+   goes through [read_idx]/[write_idx], so it observes the sentinel and
+   the file bounds, and every event reaches the timeline. A pc outside
+   the thread's range fails the fetch before any state changes. The ALU
+   and conditional branches read src2 {e before} src1: with the sentinel
+   armed the first corrupted read wins, and the diagnostic names that
+   register. *)
+let step t th =
+  let code = t.soa.s_code in
+  let b0 = t.soa.s_base.(th.id) in
+  let base = b0 + (th.pc * 4) in
+  if base < b0 || base >= t.soa.s_lim.(th.id) then
+    invalid_arg "index out of bounds";
   let op = code.(base) in
   t.cycle <- t.cycle + 1;
   t.busy_cycles <- t.busy_cycles + 1;
@@ -697,33 +614,29 @@ let step_decoded t th =
       record t th.id Halted;
       `Yield
 
-let step t th =
-  match t.engine with
-  | `Decoded | `Soa -> step_decoded t th
-  | `Legacy -> step_legacy t th
-
 (* ------------------------------------------------------------------ *)
-(* The SoA batched burst.
+(* The batched burst.
 
-   [`Soa] shares the decoded opcode map but executes out of the
-   machine-wide flat rows built by {!build_soa}. [burst_soa] runs the
+   [burst_soa] executes the same opcode map out of the same rows as
+   [step], but runs the
    dispatched thread in one tight loop — pc, clock and retired count
    held in locals, the opcode dispatched by a direct match on the int
    tag, operand and ALU/condition evaluation inlined — until the thread
    yields the PU or the clock reaches [limit] (the bounded horizon, or
    the strict cycle budget + 1 so the budget-exceeding instruction still
-   executes exactly as under [step_decoded]). A whole scheduling slice
+   executes exactly as under [step]). A whole scheduling slice
    between traffic events therefore costs no per-instruction scheduler
    dispatch, closure call, or sentinel match.
 
-   Only entered when [t.soa_fast] and the thread's code row is
-   register-clean ([s_clean], proven at build time): with the sentinel
-   or timeline on, or any out-of-range register operand in the code,
-   [`Soa] takes the per-step decoded path above, which is shared code
-   and therefore trivially trap- and cycle-equal. Cleanliness is what
-   lets the loop touch the register row with unchecked accesses — the
-   per-access bounds test [step_decoded] pays through [read_idx] is the
-   single biggest per-instruction cost once dispatch is inlined.
+   Which path runs is decided from observable state, never by a knob:
+   the burst is only entered when [t.soa_fast] (no sentinel, no
+   timeline — both need every access and event) and every thread's code
+   row is register-clean ([s_clean], proven at build time). Otherwise
+   the whole machine takes the per-step path above, which traps at
+   access time. Cleanliness is what lets the loop touch the register row with
+   unchecked accesses — the per-access bounds test [step] pays through
+   [read_idx] is the single biggest per-instruction cost once dispatch
+   is inlined.
 
    The loop itself is a tail-recursive function over plain integer
    state (pc, cycle, mov count), which the compiler keeps in machine
@@ -731,7 +644,7 @@ let step t th =
    on one discipline, exercised by the differential suite: every exit
    (yield, limit, or fetch fault) flushes the in-flight state back into
    [th]/[t] first, so a raised exception observes exactly the machine
-   state [step_decoded] would leave — the faulting pc, the cycle after
+   state [step] would leave — the faulting pc, the cycle after
    the last issued instruction, and the retired count including it. *)
 (* [t.cycle] is untouched while a burst is in flight — only [burst_flush]
    writes it — so the retired-count delta is [cycle - t.cycle]. *)
@@ -756,8 +669,7 @@ let rec burst_go t th code b0 blim regs limit pc cycle moves =
   else begin
     let w = b0 + (pc * 4) in
     if w < b0 || w >= blim then begin
-      (* pc ran off the program: fail exactly like [step_decoded]'s
-         fetch of [th.dcode.(pc * 4)] *)
+      (* pc ran off the program: fail exactly like [step]'s fetch *)
       burst_flush t th pc cycle moves;
       raise (Invalid_argument "index out of bounds")
     end;
@@ -854,8 +766,17 @@ let rec burst_go t th code b0 blim regs limit pc cycle moves =
         `Yield
   end
 
+(* A burst runs up to the horizon (bounded) or the cycle budget + 1
+   (strict — the budget-exceeding instruction must execute so the
+   driver's re-check raises the same [Cycle_limit] as the per-step
+   path). *)
+let burst_limit t ~horizon ~strict =
+  if not strict then horizon
+  else if t.config.max_cycles = max_int then max_int
+  else t.config.max_cycles + 1
+
 let burst_soa t th ~limit =
-  let soa = match t.soa with Some s -> s | None -> assert false in
+  let soa = t.soa in
   burst_go t th soa.s_code soa.s_base.(th.id) soa.s_lim.(th.id) t.regs limit
     th.pc t.cycle 0
 
@@ -955,25 +876,7 @@ let exec_generic t ~horizon ~strict ~stop_on_halt =
       else if (not strict) && t.cycle >= horizon then ret := Some `Horizon
       else begin
         let th = t.threads.(cur) in
-        let burstable =
-          t.soa_fast
-          && match t.soa with Some s -> s.s_clean.(cur) | None -> false
-        in
         let outcome =
-          if burstable then
-            (* batched slice: run the holder straight out of the flat
-               rows up to the horizon (bounded) or the cycle budget + 1
-               (strict — the budget-exceeding instruction must execute
-               so the loop re-check raises the same [Cycle_limit] as
-               the per-step engines) *)
-            let limit =
-              if strict then
-                if t.config.max_cycles = max_int then max_int
-                else t.config.max_cycles + 1
-              else horizon
-            in
-            burst_soa t th ~limit
-          else
           match step t th with
           | verdict -> verdict
           | exception Quarantine_fault c ->
@@ -999,9 +902,9 @@ let exec_generic t ~horizon ~strict ~stop_on_halt =
   done;
   match !ret with Some r -> r | None -> assert false
 
-(* Specialised driver for a machine whose every thread can burst: the
-   [`Soa] engine with the sentinel off, no timeline, and every code row
-   register-clean. Exactly the state machine of [exec_generic] — the
+(* The burst driver, for a machine whose every thread can burst: the
+   sentinel off, no timeline, and every code row register-clean. Exactly
+   the state machine of the per-step [exec_generic] — the
    differential suite pins the two drivers cycle-for-cycle, trap state
    included — but monomorphised for the burst: scheduler state lives in
    locals with [-1] for "none" (no [Some] allocation per dispatch), the
@@ -1015,11 +918,7 @@ let exec_generic t ~horizon ~strict ~stop_on_halt =
 let exec_soa t ~horizon ~strict ~stop_on_halt =
   let threads = t.threads in
   let n = Array.length threads in
-  let limit =
-    if strict then
-      if t.config.max_cycles = max_int then max_int else t.config.max_cycles + 1
-    else horizon
-  in
+  let limit = burst_limit t ~horizon ~strict in
   let holder = ref (match t.holder with Some i -> i | None -> -1) in
   let last_yielder = ref (match t.last_yielder with Some i -> i | None -> -1) in
   let rr_from = ref t.rr_from in
@@ -1129,18 +1028,18 @@ let exec_soa t ~horizon ~strict ~stop_on_halt =
   save ();
   match !ret with Some r -> r | None -> assert false
 
+(* The burst runs only with the sentinel off, no timeline and every code
+   row register-clean; any other machine runs per-step. Decided on every
+   call, so a hot-swap that changes cleanliness takes effect at the next
+   slice. *)
 let exec t ~horizon ~strict ~stop_on_halt =
-  if
-    t.soa_fast
-    && match t.soa with
-       | Some s -> Array.for_all (fun c -> c) s.s_clean
-       | None -> false
-  then exec_soa t ~horizon ~strict ~stop_on_halt
+  if t.soa_fast && Array.for_all Fun.id t.soa.s_clean then
+    exec_soa t ~horizon ~strict ~stop_on_halt
   else exec_generic t ~horizon ~strict ~stop_on_halt
 
-let run ?(config = default_config) ?(engine = `Decoded) ?(mem_image = [])
-    ?(timeline = false) ?(sentinel = `Off) progs =
-  let t = create ~config ~engine ~mem_image ~timeline ~sentinel progs in
+let run ?(config = default_config) ?(mem_image = []) ?(timeline = false)
+    ?(sentinel = `Off) progs =
+  let t = create ~config ~mem_image ~timeline ~sentinel progs in
   (match exec t ~horizon:max_int ~strict:true ~stop_on_halt:false with
   | `Done -> ()
   | `Idle | `Horizon | `Halted _ -> assert false);
@@ -1328,9 +1227,6 @@ let swap_programs t progs =
           {
             th with
             prog;
-            dcode = (match t.engine with
-              | `Decoded | `Soa -> decode prog
-              | `Legacy -> [||]);
             pc = 0;
             pending_writeback = None;
             (* counters, traces and completion stamps accumulate across
@@ -1338,14 +1234,11 @@ let swap_programs t progs =
           })
       progs;
     (* program lengths may have changed: rebuild the flat rows in place *)
-    (match t.soa with
-    | Some s ->
-      let ns = build_soa ~nreg:t.config.nreg t.threads in
-      s.s_code <- ns.s_code;
-      s.s_base <- ns.s_base;
-      s.s_lim <- ns.s_lim;
-      s.s_clean <- ns.s_clean
-    | None -> ());
+    let ns = build_soa ~nreg:t.config.nreg t.threads in
+    t.soa.s_code <- ns.s_code;
+    t.soa.s_base <- ns.s_base;
+    t.soa.s_lim <- ns.s_lim;
+    t.soa.s_clean <- ns.s_clean;
     (match t.sentinel with
     | None -> ()
     | Some s ->

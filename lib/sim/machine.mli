@@ -91,29 +91,8 @@ type sentinel_mode = [ `Off | `Trap | `Quarantine ]
     [`Quarantine] permanently parks the faulting thread (recorded in its
     {!thread_report}) and keeps the other threads running. *)
 
-type engine = [ `Decoded | `Legacy | `Soa ]
-(** [`Decoded] (the default) pre-decodes every program at {!create} into
-    a flat immutable int-array form — register operands resolved to file
-    indices, branch targets to instruction indices — so the per-cycle
-    step allocates nothing and touches no label tables. [`Legacy]
-    interprets {!Npra_ir.Instr.t} directly; it is kept as a differential
-    oracle and is proved cycle- and trap-equal by the test suite.
-
-    [`Soa] executes the same decoded opcode map out of machine-wide
-    struct-of-arrays rows: every thread's quads concatenated into one
-    flat code row over the shared register row, with the dispatched
-    thread run in a batched burst — pc, clock and retired count in
-    locals, ALU/condition evaluation inlined — until it yields the PU or
-    the slice horizon arrives, eliminating all per-instruction scheduler
-    and closure dispatch. The burst engages when the sentinel and
-    timeline are off; an armed or recording [`Soa] machine takes the
-    per-step decoded path. Proven cycle-, trap- and report-equal to
-    [`Decoded] by the differential suite (registry kernels, sentinel
-    modes, chaos stall/scribble, tiered memory, bounded slices). *)
-
 val create :
   ?config:config ->
-  ?engine:engine ->
   ?mem_image:(int * int) list ->
   ?timeline:bool ->
   ?sentinel:sentinel_mode ->
@@ -122,6 +101,25 @@ val create :
 (** One thread per program; programs must be fully physical. [mem_image]
     preloads memory words (packet buffers, tables); [timeline] records
     scheduling events for {!pp_timeline}.
+
+    There is one engine. At creation every program is pre-decoded into
+    machine-wide struct-of-arrays rows: each thread's instructions as
+    flat int quads — register operands resolved to file indices, branch
+    targets to instruction indices — concatenated into one code row over
+    the shared register row, so execution allocates nothing and touches
+    no label tables. Execution takes one of two internal paths, chosen
+    from observable state rather than by a knob:
+    - the {e burst}: the dispatched thread runs in one tight loop — pc,
+      clock and retired count in locals, ALU/condition evaluation
+      inlined — until it yields the PU or the slice horizon arrives.
+      Taken when the sentinel is [`Off], the timeline is off and no
+      thread's code has an out-of-file register operand.
+    - the {e per-step} path: one instruction at a time, with every
+      register access bounds-checked and seen by the sentinel, and every
+      event recorded on the timeline. Taken otherwise.
+    The two are cycle-, trap- and report-equal; the differential suite
+    checks that on every registry kernel, with {!Refexec} as the
+    semantic oracle.
     @raise Stuck ([Not_physical]) on a program with virtual registers. *)
 
 val memory : t -> Memory.t
@@ -142,7 +140,6 @@ val pp_timeline : t Fmt.t
 
 val run :
   ?config:config ->
-  ?engine:engine ->
   ?mem_image:(int * int) list ->
   ?timeline:bool ->
   ?sentinel:sentinel_mode ->
@@ -250,7 +247,8 @@ val swap_programs : t -> Prog.t list -> (unit, swap_error) result
     threads must be parked ([Completed]) with no writeback in flight,
     and every new program must have an empty physical live-in set at
     entry (checked with the allocator's own liveness dataflow). On
-    success, threads are re-decoded with [pc = 0] and stay parked;
+    success, the code rows are rebuilt, threads restart at [pc = 0] and
+    stay parked;
     cycle clock, memory, and per-thread counters are preserved; the
     corruption sentinel's ownership state is cleared — the old values
     are proven unobservable, so the sentinel can never fire because of

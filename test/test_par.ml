@@ -98,25 +98,18 @@ let spin k =
 
 let stealing_tests =
   [
-    test "irregular durations: results byte-identical at jobs 1/2/8, both \
-          strategies"
-      (fun () ->
+    test "irregular durations: results byte-identical at jobs 1/2/8" (fun () ->
         let costs = busy_costs ~seed:9 24 in
         let expected = Array.map spin costs in
         List.iter
-          (fun strategy ->
-            List.iter
-              (fun jobs ->
-                let p = Pool.create ~jobs ~strategy () in
-                check
-                  Alcotest.(array int)
-                  (Fmt.str "%s, %d jobs"
-                     (match strategy with `Fixed -> "fixed" | `Steal -> "steal")
-                     jobs)
-                  expected
-                  (Pool.tasks p 24 (fun i -> spin costs.(i))))
-              [ 1; 2; 8 ])
-          [ `Fixed; `Steal ]);
+          (fun jobs ->
+            let p = Pool.create ~jobs () in
+            check
+              Alcotest.(array int)
+              (Fmt.str "%d jobs" jobs)
+              expected
+              (Pool.tasks p 24 (fun i -> spin costs.(i))))
+          [ 1; 2; 8 ]);
     prop ~count:5 "stealing is result-invariant (random irregular loads)"
       QCheck.(int_range 0 1_000_000)
       (fun seed ->
@@ -128,7 +121,7 @@ let stealing_tests =
         let costs = busy_costs ~seed:3 64 in
         List.iter
           (fun jobs ->
-            let p = Pool.create ~jobs ~strategy:`Steal () in
+            let p = Pool.create ~jobs () in
             match
               Pool.tasks p 64 (fun i ->
                   let (_ : int) = spin costs.(i) in
@@ -138,15 +131,12 @@ let stealing_tests =
             | exception Failure s ->
               check Alcotest.string (Fmt.str "%d jobs" jobs) "17" s)
           [ 1; 2; 8 ]);
-    test "steal_count: zero for fixed pools and single workers" (fun () ->
-        let fixed = Pool.create ~jobs:4 ~strategy:`Fixed () in
-        let (_ : int array) = Pool.tasks fixed 32 spin in
-        check Alcotest.int "fixed steals" 0 (Pool.steal_count fixed);
+    test "steal_count: zero for single workers" (fun () ->
         let solo = Pool.create ~jobs:1 () in
         let (_ : int array) = Pool.tasks solo 32 spin in
         check Alcotest.int "solo steals" 0 (Pool.steal_count solo);
-        check Alcotest.bool "strategy accessor" true
-          (Pool.strategy fixed = `Fixed && Pool.strategy solo = `Steal));
+        check Alcotest.int "sequential steals" 0
+          (Pool.steal_count Pool.sequential));
   ]
 
 (* ---------------- the virtual-time scheduling model ---------------- *)

@@ -12,9 +12,10 @@
    The other contracts: losing entrants are recorded in the winner's
    trail as [Rejected] with reasons (never silently dropped); cache
    hits carry the entrant's own provenance, not a slate default; the
-   winner simulates identically under the `Decoded and `Legacy
-   engines; and the whole result — including the BENCH_portfolio.json
-   payload — is byte-identical at any job count. *)
+   winner simulates identically on the burst and per-step paths and
+   matches the reference executor and the [Instr.t] oracle; and the
+   whole result — including the BENCH_portfolio.json payload — is
+   byte-identical at any job count. *)
 
 open Npra_workloads
 open Npra_core
@@ -271,32 +272,25 @@ let cache_tests =
 
 (* ---------------- engine differential ---------------- *)
 
-(* The portfolio winner must behave identically under the pre-decoded
-   fast path and the legacy interpreter — same extension of the
-   sim.engines contract to the new allocation producer. *)
+(* The portfolio winner must behave identically on the burst and the
+   per-step paths of the machine and match the reference executor and
+   the [Instr.t] oracle — the sim.engines contract extended to the
+   portfolio's allocations. *)
 let engine_tests =
   List.map
     (fun id ->
-      test (Fmt.str "decoded = legacy on the portfolio winner of %s" id)
+      test (Fmt.str "burst = per-step = refexec on the portfolio winner of %s" id)
         (fun () ->
           let ws = ws_of [ id; id; id; id ] in
           let progs = List.map (fun w -> w.Workload.prog) ws in
           let mem_image = List.concat_map (fun w -> w.Workload.mem_image) ws in
           let spill_bases = List.map Workload.spill_base ws in
           let p = portfolio_exn ~spill_bases ~seed:1 progs in
-          let report engine =
-            Machine.report
-              (Machine.run ~engine ~sentinel:`Trap ~mem_image
-                 p.Pipeline.winner.Pipeline.programs)
-          in
-          let d = report `Decoded in
-          let l = report `Legacy in
-          check Alcotest.int "total cycles" l.Machine.total_cycles
-            d.Machine.total_cycles;
-          check Alcotest.string "full report"
-            (Fmt.str "%a" Machine.pp_report l)
-            (Fmt.str "%a" Machine.pp_report d);
-          check Alcotest.bool "structurally equal" true (d = l)))
+          let winner = p.Pipeline.winner.Pipeline.programs in
+          Test_sim.check_burst_eq_timeline ~mem_image winner;
+          Test_sim.check_burst_eq_armed ~mem_image winner;
+          Test_sim.check_refexec ~mem_image winner;
+          Test_sim.check_instr_oracle ~mem_image winner))
     [ "md5"; "crc32"; "drr"; "url"; "wraps_tx" ]
 
 (* ---------------- jobs invariance ---------------- *)

@@ -355,19 +355,18 @@ let memory_tests =
         check Alcotest.int "reads" 0 (Memory.reads m));
   ]
 
-(* ---------------- decoded vs legacy vs soa engines ---------------- *)
+(* ---------------- one engine, two internal paths ---------------- *)
 
-(* Every fast path must be indistinguishable from the legacy Instr.t
-   interpreter: same cycle counts, same per-thread reports, same store
-   traces, and the same traps on the same cycle. Every registry kernel,
-   allocated as a four-thread system, is the witness set; traps are
-   exercised by hand-built out-of-file programs. The [`Soa] engine gets
-   two comparisons per kernel: sentinel armed (where it shares the
-   decoded per-step path) and sentinel off (where the batched burst
-   loop actually runs). *)
-let engine_report ?(sentinel = `Trap) engine progs mem_image =
-  Machine.report (Machine.run ~engine ~sentinel ~mem_image progs)
-
+(* The machine has one engine with two internal paths, chosen from
+   observable state: a default run (sentinel off, no timeline) takes the
+   batched burst on register-clean code, while [~timeline:true] or an
+   armed sentinel forces the per-step path. The two must be
+   indistinguishable — same cycle counts, same per-thread reports, same
+   store traces, the same traps on the same cycle — and both must match
+   the reference executor. Every registry kernel, allocated as a
+   four-thread system, is the witness set; an armed sentinel stays
+   silent on those safe allocations, so it is a second way into the
+   per-step path. *)
 let kernel_system spec =
   let open Npra_workloads in
   let ws = List.init 4 (fun slot -> Registry.instantiate spec ~slot) in
@@ -377,60 +376,103 @@ let kernel_system spec =
   let bal = Npra_core.Pipeline.balanced_exn ~nreg:128 ~spill_bases progs in
   (bal.Npra_core.Pipeline.programs, mem_image)
 
-let check_engines_equal ?sentinel reference candidate progs mem_image =
-  let r = engine_report ?sentinel reference progs mem_image in
-  let c = engine_report ?sentinel candidate progs mem_image in
-  check Alcotest.int "total cycles" r.Machine.total_cycles
-    c.Machine.total_cycles;
-  check Alcotest.string "full report"
-    (Fmt.str "%a" Machine.pp_report r)
-    (Fmt.str "%a" Machine.pp_report c);
-  Alcotest.(check bool) "structurally equal" true (r = c)
+let burst_report ~mem_image progs =
+  Machine.report (Machine.run ~mem_image progs)
 
-let engine_differential_tests =
+let check_reports_equal what (b : Machine.report) (s : Machine.report) =
+  check Alcotest.int (what ^ ": total cycles") b.Machine.total_cycles
+    s.Machine.total_cycles;
+  check Alcotest.string (what ^ ": full report")
+    (Fmt.str "%a" Machine.pp_report b)
+    (Fmt.str "%a" Machine.pp_report s);
+  Alcotest.(check bool) (what ^ ": structurally equal") true (b = s)
+
+let check_burst_eq_timeline ~mem_image progs =
+  check_reports_equal "burst = per-step (timeline)"
+    (burst_report ~mem_image progs)
+    (Machine.report (Machine.run ~timeline:true ~mem_image progs))
+
+let check_burst_eq_armed ~mem_image progs =
+  check_reports_equal "burst = per-step (armed sentinel)"
+    (burst_report ~mem_image progs)
+    (Machine.report (Machine.run ~sentinel:`Trap ~mem_image progs))
+
+(* The whole report of both paths against the [Instr.t] oracle, which
+   interprets the undecoded programs with its own scheduler: this is
+   what pins the decoder and both paths on timing and moves — cycles,
+   per-thread move counts, context switches, wait cycles and completion
+   — which [Refexec] does not model. *)
+let check_instr_oracle ?config ~mem_image progs =
+  let oracle = Instr_oracle.run ?config ~mem_image progs in
+  check_reports_equal "burst = Instr.t oracle" oracle
+    (Machine.report (Machine.run ?config ~mem_image progs));
+  check_reports_equal "per-step (timeline) = Instr.t oracle" oracle
+    (Machine.report (Machine.run ?config ~timeline:true ~mem_image progs))
+
+(* Each thread of the interleaved run against the reference executor
+   running the same physical program alone: same stores in the same
+   order, same retired instructions, same loads. *)
+let check_refexec ~mem_image progs =
+  let r = burst_report ~mem_image progs in
+  List.iter2
+    (fun p tr ->
+      let ref_run = Refexec.run ~mem_image p in
+      let what = tr.Machine.name in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+        (what ^ ": store trace") ref_run.Refexec.store_trace
+        tr.Machine.store_trace;
+      check Alcotest.int (what ^ ": instructions") ref_run.Refexec.instructions
+        tr.Machine.instructions;
+      check Alcotest.int (what ^ ": loads") ref_run.Refexec.loads
+        tr.Machine.load_count)
+    progs r.Machine.thread_reports
+
+let path_differential_tests =
   let open Npra_workloads in
   List.concat_map
     (fun spec ->
+      let id = spec.Workload.id in
       [
-        test
-          (Fmt.str "decoded = legacy on kernel %s (4 threads)"
-             spec.Workload.id)
+        test (Fmt.str "burst = per-step (timeline) on kernel %s (4 threads)" id)
           (fun () ->
             let progs, mem_image = kernel_system spec in
-            check_engines_equal `Legacy `Decoded progs mem_image);
+            check_burst_eq_timeline ~mem_image progs);
         test
-          (Fmt.str "soa = decoded on kernel %s (sentinel armed)"
-             spec.Workload.id)
+          (Fmt.str "burst = per-step (armed sentinel) on kernel %s (4 threads)"
+             id)
           (fun () ->
             let progs, mem_image = kernel_system spec in
-            check_engines_equal `Decoded `Soa progs mem_image);
-        test
-          (Fmt.str "soa burst = decoded on kernel %s (sentinel off)"
-             spec.Workload.id)
+            check_burst_eq_armed ~mem_image progs);
+        test (Fmt.str "machine = refexec on kernel %s (4 threads)" id)
           (fun () ->
             let progs, mem_image = kernel_system spec in
-            check_engines_equal ~sentinel:`Off `Decoded `Soa progs mem_image);
+            check_refexec ~mem_image progs);
+        test (Fmt.str "machine = Instr.t oracle on kernel %s (4 threads)" id)
+          (fun () ->
+            let progs, mem_image = kernel_system spec in
+            check_instr_oracle ~mem_image progs);
       ])
     Registry.all
 
-(* Each trap case compares all three engines; the sentinel defaults to
-   [`Off] here, so [`Soa] raises from inside its burst loop. *)
-let stuck_outcome ?config engine p =
-  match Machine.run ?config ~engine [ p ] with
+(* Trap diagnostics are pinned to golden strings on both paths. The
+   out-of-file programs are not register-clean, so even the default run
+   takes the per-step path for them; the spin loop runs entirely inside
+   the burst by default, which pins the burst's strict cycle budget. *)
+let stuck_outcome ?config ?timeline p =
+  match Machine.run ?config ?timeline [ p ] with
   | (_ : Machine.t) -> Alcotest.fail "expected Stuck"
   | exception Machine.Stuck s -> Fmt.str "%a" Machine.pp_stuck s
 
-let check_same_stuck ?config p =
-  let l = stuck_outcome ?config `Legacy p in
-  check Alcotest.string "decoded stuck diagnostic" l
-    (stuck_outcome ?config `Decoded p);
-  check Alcotest.string "soa stuck diagnostic" l
-    (stuck_outcome ?config `Soa p)
+let check_stuck ?config golden p =
+  check Alcotest.string "default run" golden (stuck_outcome ?config p);
+  check Alcotest.string "per-step (timeline)" golden
+    (stuck_outcome ?config ~timeline:true p)
 
-let engine_trap_tests =
+let trap_tests =
   [
-    test "engines trap identically on an out-of-file read" (fun () ->
-        check_same_stuck
+    test "out-of-file read traps with the golden diagnostic" (fun () ->
+        check_stuck "register r4000 outside the 128-register file"
           (prog "oob"
              [
                Instr.Movi { dst = Reg.P 0; imm = 1 };
@@ -444,30 +486,89 @@ let engine_trap_tests =
                Instr.Halt;
              ]
              []));
-    test "engines trap identically on an out-of-file write" (fun () ->
-        check_same_stuck
+    test "out-of-file write traps with the golden diagnostic" (fun () ->
+        check_stuck "register r999 outside the 128-register file"
           (prog "oob-dst"
              [ Instr.Movi { dst = Reg.P 999; imm = 1 }; Instr.Halt ]
              []));
-    test "engines reject virtual registers identically" (fun () ->
-        check_same_stuck
+    test "virtual operand is rejected with the golden diagnostic" (fun () ->
+        check_stuck "program virt has virtual registers (v3)"
           (prog "virt"
              [ Instr.Mov { dst = Reg.P 0; src = Reg.V 3 }; Instr.Halt ]
              []));
-    test "engines hit the cycle limit identically" (fun () ->
-        (* the spin loop runs entirely inside the soa burst, so this
-           pins the burst's strict cycle budget to the per-step one *)
+    test "cycle limit trips with the golden diagnostic" (fun () ->
         let p = prog "spin" [ Instr.Br { target = "top" } ] [ ("top", 0) ] in
         let config = { Machine.default_config with max_cycles = 1000 } in
-        check_same_stuck ~config p);
+        check_stuck ~config
+          "exceeded 1000 cycles while runnable:\n  thread 0 (spin) pc=0: runnable"
+          p);
   ]
 
-(* ---------------- soa burst under the dispatcher's conditions ------ *)
+(* The sentinel's read order: an ALU op or conditional branch with a
+   register src2 reads src2 before src1, so when another thread clobbered
+   both across a switch the diagnostic names src2 (r1 here). *)
+let clobbered_reader name use =
+  [
+    prog name
+      [
+        Instr.Movi { dst = Reg.P 0; imm = 1 };
+        Instr.Movi { dst = Reg.P 1; imm = 2 };
+        Instr.Ctx_switch;
+        use;
+        Instr.Halt;
+      ]
+      [ ("out", 4) ];
+    prog "clobberer"
+      [
+        Instr.Movi { dst = Reg.P 0; imm = 3 };
+        Instr.Movi { dst = Reg.P 1; imm = 4 };
+        Instr.Ctx_switch;
+        Instr.Halt;
+      ]
+      [];
+  ]
 
-(* The batched burst must also be equivalent where the traffic fabric
+let check_read_order name use =
+  match Machine.run ~sentinel:`Trap (clobbered_reader name use) with
+  | (_ : Machine.t) -> Alcotest.fail "expected Corruption"
+  | exception Machine.Corruption c ->
+    check Alcotest.string "diagnostic"
+      (Fmt.str
+         "register r1: thread 0 (%s) read a value thread 1 (clobberer) \
+          overwrote at cycle 6 across its context switch (read at cycle 9, \
+          observed 4, expected 2)"
+         name)
+      (Fmt.str "%a" Machine.pp_corruption c)
+
+let read_order_tests =
+  [
+    test "sentinel names src2 of an ALU op with a register src2" (fun () ->
+        check_read_order "alu"
+          (Instr.Alu
+             {
+               op = Instr.Add;
+               dst = Reg.P 2;
+               src1 = Reg.P 0;
+               src2 = Instr.Reg (Reg.P 1);
+             }));
+    test "sentinel names src2 of a conditional branch with a register src2"
+      (fun () ->
+        check_read_order "brc"
+          (Instr.Brc
+             {
+               cond = Instr.Eq;
+               src1 = Reg.P 0;
+               src2 = Instr.Reg (Reg.P 1);
+               target = "out";
+             }));
+  ]
+
+(* ---------------- burst under the dispatcher's conditions ---------- *)
+
+(* The burst must also equal the per-step path where the traffic fabric
    actually drives machines: tiered memory latencies, bounded
-   [run_until] slices, chaos stalls, and scribble storms under the
-   quarantine sentinel. *)
+   [run_until] slices and chaos stalls. [~timeline:true] is the switch
+   that forces the per-step path. *)
 
 let three_tiers =
   Memory.scratch_sram_sdram ~scratch_words:100 ~sram_words:1000
@@ -489,8 +590,8 @@ let tier_probes () =
         [])
     [ 10; 600; 5000 ]
 
-let slice_report engine ~slice progs =
-  let m = Machine.create ~engine ~sentinel:`Off progs in
+let slice_report ~timeline ~slice progs =
+  let m = Machine.create ~timeline progs in
   let horizon = ref 0 in
   let pauses = ref [] in
   let continue = ref true in
@@ -512,55 +613,44 @@ let slice_report engine ~slice progs =
   done;
   (List.rev !pauses, Machine.report m)
 
-let soa_burst_tests =
+let burst_tests =
   [
-    test "soa = decoded = legacy under tiered memory latencies" (fun () ->
+    test "burst = per-step under tiered memory latencies" (fun () ->
         let config = { Machine.default_config with tiers = Some three_tiers } in
-        let report engine =
-          Machine.report (Machine.run ~config ~engine (tier_probes ()))
+        let report ~timeline =
+          Machine.report (Machine.run ~config ~timeline (tier_probes ()))
         in
-        let l = report `Legacy and d = report `Decoded and s = report `Soa in
-        check Alcotest.string "decoded = legacy"
-          (Fmt.str "%a" Machine.pp_report l)
-          (Fmt.str "%a" Machine.pp_report d);
-        check Alcotest.string "soa = decoded"
-          (Fmt.str "%a" Machine.pp_report d)
-          (Fmt.str "%a" Machine.pp_report s);
-        Alcotest.(check bool) "structurally equal" true (s = d);
+        let b = report ~timeline:false in
+        check_reports_equal "burst = per-step" b (report ~timeline:true);
+        check_instr_oracle ~config ~mem_image:[] (tier_probes ());
         (* and the tiers really engaged: a flat-latency run differs *)
-        let flat =
-          Machine.report (Machine.run ~engine:`Soa (tier_probes ()))
-        in
+        let flat = Machine.report (Machine.run (tier_probes ())) in
         Alcotest.(check bool) "tier latencies observable" true
-          (flat.Machine.total_cycles <> s.Machine.total_cycles));
-    test "soa = decoded across bounded run_until slices" (fun () ->
+          (flat.Machine.total_cycles <> b.Machine.total_cycles));
+    test "burst = per-step across bounded run_until slices" (fun () ->
         let progs () =
           [ store_all "a" ~addr:10 [ 1; 2; 3 ]; store_all "b" ~addr:20 [ 4; 5; 6 ] ]
         in
         List.iter
           (fun slice ->
-            let dp, dr = slice_report `Decoded ~slice (progs ()) in
-            let sp, sr = slice_report `Soa ~slice (progs ()) in
+            let sp, sr = slice_report ~timeline:true ~slice (progs ()) in
+            let bp, br = slice_report ~timeline:false ~slice (progs ()) in
             check Alcotest.int
               (Fmt.str "pause count at slice %d" slice)
-              (List.length dp) (List.length sp);
+              (List.length sp) (List.length bp);
             Alcotest.(check bool)
               (Fmt.str "same pauses at slice %d" slice)
-              true (dp = sp);
-            check Alcotest.string
-              (Fmt.str "same report at slice %d" slice)
-              (Fmt.str "%a" Machine.pp_report dr)
-              (Fmt.str "%a" Machine.pp_report sr))
+              true (sp = bp);
+            check_reports_equal (Fmt.str "slice %d" slice) br sr)
           [ 1; 7; 64 ];
-        (* a sliced soa run equals one strict soa run *)
-        let _, sliced = slice_report `Soa ~slice:7 (progs ()) in
-        let whole = Machine.report (Machine.run ~engine:`Soa (progs ())) in
+        (* a sliced burst run equals one strict run *)
+        let _, sliced = slice_report ~timeline:false ~slice:7 (progs ()) in
+        let whole = Machine.report (Machine.run (progs ())) in
         Alcotest.(check bool) "sliced = whole" true (sliced = whole));
-    test "soa = decoded under a chaos stall" (fun () ->
-        let drive engine =
+    test "burst = per-step under a chaos stall" (fun () ->
+        let drive ~timeline =
           let m =
-            Machine.create ~engine ~sentinel:`Off
-              [ store_all "a" ~addr:10 [ 1; 2; 3; 4 ] ]
+            Machine.create ~timeline [ store_all "a" ~addr:10 [ 1; 2; 3; 4 ] ]
           in
           let p1 = Machine.run_until m ~horizon:5 in
           Machine.stall m ~until:40;
@@ -571,21 +661,7 @@ let soa_burst_tests =
             Fmt.str "%a" Machine.pp_report (Machine.report m) )
         in
         Alcotest.(check bool) "identical stall behaviour" true
-          (drive `Decoded = drive `Soa));
-    test "soa = decoded under a scribble storm (quarantine sentinel)"
-      (fun () ->
-        let drive engine =
-          let m =
-            Machine.create ~engine ~sentinel:`Quarantine (clobber_pair ())
-          in
-          let p1 = Machine.run_until m ~horizon:2 in
-          let hit = Machine.scribble m ~seed:5 ~count:8 in
-          let p2 = Machine.run_until m ~horizon:10_000 in
-          ( p1, hit, p2,
-            Fmt.str "%a" Machine.pp_report (Machine.report m) )
-        in
-        Alcotest.(check bool) "identical storm behaviour" true
-          (drive `Decoded = drive `Soa));
+          (drive ~timeline:false = drive ~timeline:true));
   ]
 
 let suite =
@@ -593,8 +669,8 @@ let suite =
     ("sim.machine", machine_tests);
     ("sim.sentinel", sentinel_tests);
     ("sim.stuck", stuck_tests);
-    ("sim.engines", engine_differential_tests @ engine_trap_tests);
-    ("sim.soa_burst", soa_burst_tests);
+    ("sim.engines", path_differential_tests @ trap_tests @ read_order_tests);
+    ("sim.soa_burst", burst_tests);
     ("sim.refexec", refexec_tests);
     ("sim.memory", memory_tests);
   ]
