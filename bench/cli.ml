@@ -23,6 +23,10 @@ type spec = {
   run : opts -> json:string option -> unit;
 }
 
+(* Where --quick reports go when --json is absent: a quick smoke must
+   never replace the committed full-mode report of the same name. *)
+let quick_dir = "ci-quick"
+
 let usage ppf specs =
   Fmt.pf ppf "subcommands:@.";
   List.iter
@@ -31,6 +35,7 @@ let usage ppf specs =
         Fmt.(option (fun ppf j -> Fmt.pf ppf "writes %s" j))
         s.json_default)
     specs;
+  Fmt.pf ppf "with --quick and no --json, reports go under %s/@." quick_dir;
   Fmt.pf ppf
     "flags: [--quick] [--seed N] [--jobs N] [--json PATH (single \
      JSON-writing subcommand only)]@."
@@ -96,9 +101,18 @@ let parse ~specs argv =
         (String.concat ", " (List.map (fun s -> s.name) many))));
   (opts, selected)
 
-(* The JSON path a subcommand should write to under [opts]: its default,
-   overridden by --json when [parse] proved the override unambiguous. *)
+(* The JSON path a subcommand should write to under [opts]: --json when
+   [parse] proved the override unambiguous, else its default, moved
+   under [quick_dir] for a quick run. *)
 let json_path opts spec =
-  match spec.json_default with
-  | None -> None
-  | Some d -> Some (Option.value opts.json_override ~default:d)
+  match (spec.json_default, opts.json_override) with
+  | None, _ -> None
+  | Some _, Some path -> Some path
+  | Some d, None when opts.quick -> Some (Filename.concat quick_dir d)
+  | Some d, None -> Some d
+
+(* Creates the directory [path] is to be written in, one level deep, so
+   the default [quick_dir] need not exist beforehand. *)
+let ensure_parent path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755

@@ -10,7 +10,9 @@
      --json PATH   overrides the selected subcommand's JSON output
                    path; valid only when the selection contains exactly
                    one JSON-writing subcommand
-     --quick       tiny Bechamel quota and short traffic runs, for CI
+     --quick       tiny Bechamel quota and short traffic runs, for CI;
+                   without --json the report goes under ci-quick/, so
+                   the committed full-mode BENCH_*.json stay untouched
      --seed N      replayable seed for the randomised harnesses; each
                    keeps its historical default when absent
      --jobs N      worker domains for the pooled harnesses (default 1).
@@ -121,18 +123,15 @@ let ablation_cost () =
       let w = Registry.instantiate (Registry.find_exn id) ~slot:0 in
       let prog = Webs.rename w.Workload.prog in
       let loops = Loops.compute prog in
-      let ctx = Context.create prog in
-      let ctx, b = Estimate.run ctx in
+      let th = Inter.init_thread prog in
+      let b = th.Inter.bounds in
       let target_pr = b.Estimate.min_pr in
       let target_sr = max 0 (b.Estimate.min_r - target_pr) in
-      match
-        Intra.reduce_to ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
-          ~target_pr ~target_sr
-      with
+      match Intra.reduce_to th.Inter.state ~target_pr ~target_sr with
       | None -> ()
       | Some red ->
-        Fmt.pr "%-12s  %8d  %10d@." id red.Intra.cost
-          (Context.weighted_move_count red.Intra.ctx (Loops.depth loops)))
+        Fmt.pr "%-12s  %8d  %10d@." id (Intra.cost red)
+          (Context.weighted_move_count (Intra.ctx red) (Loops.depth loops)))
     [ "md5"; "fir2dim"; "l2l3fwd_rx"; "l2l3fwd_tx"; "wraps_tx" ]
 
 (* Ablation 4: memory-latency sweep — how the headline Table-3 speedup
@@ -200,10 +199,9 @@ let bechamel_tests () =
          (let w = Registry.instantiate (Registry.find_exn "fir2dim") ~slot:0 in
           let prog = Webs.rename w.Workload.prog in
           fun () ->
-            let ctx = Context.create prog in
-            let ctx, b = Estimate.run ctx in
-            Intra.reduce_to ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
-              ~target_pr:b.Estimate.min_pr
+            let th = Inter.init_thread prog in
+            let b = th.Inter.bounds in
+            Intra.reduce_to th.Inter.state ~target_pr:b.Estimate.min_pr
               ~target_sr:(max 0 (b.Estimate.min_r - b.Estimate.min_pr))));
     Test.make ~name:"table3:balanced-pipeline(md5+fir2dim)"
       (staged
@@ -938,4 +936,9 @@ let () =
     ]
   in
   let opts, selected = Cli.parse ~specs (List.tl (Array.to_list Sys.argv)) in
-  List.iter (fun s -> s.Cli.run opts ~json:(Cli.json_path opts s)) selected
+  List.iter
+    (fun s ->
+      let json = Cli.json_path opts s in
+      Option.iter Cli.ensure_parent json;
+      s.Cli.run opts ~json)
+    selected

@@ -202,14 +202,11 @@ type table2_row = {
 let table2_row spec =
   let w = Registry.instantiate spec ~slot:0 in
   let prog = Webs.rename w.Workload.prog in
-  let ctx = Context.create prog in
-  let ctx, b = Estimate.run ctx in
+  let th = Inter.init_thread prog in
+  let b = th.Inter.bounds in
   let target_pr = b.Estimate.min_pr in
   let target_sr = max 0 (b.Estimate.min_r - target_pr) in
-  match
-    Intra.reduce_to_best ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
-      ~target_pr ~target_sr
-  with
+  match Intra.reduce_to_best th.Inter.state ~target_pr ~target_sr with
   | None ->
     {
       t2_name = spec.Workload.id;
@@ -227,9 +224,9 @@ let table2_row spec =
             min_r = b.Estimate.min_r;
             reached_pr = pr;
             reached_r = pr + sr;
-            moves_inserted = red.Intra.cost;
+            moves_inserted = Intra.cost red;
             overhead_pct =
-              100. *. float_of_int red.Intra.cost
+              100. *. float_of_int (Intra.cost red)
               /. float_of_int (Prog.length prog);
           };
       t2_note = None;

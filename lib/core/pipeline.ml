@@ -521,20 +521,26 @@ let strategy_tag = function
 
 (* Runs one slate entrant on web-renamed programs. Total: allocator
    infeasibilities and materialisation failures come back as [Error]
-   trails naming the entrant, never exceptions. *)
-let run_entrant ?(weights = []) ~nreg ~spill_bases ~wprogs stage =
+   trails naming the entrant, never exceptions. [roots] are the threads
+   of [wprogs] already through {!Inter.init_thread}, in order; a race
+   hands every entrant the same roots so they share one init and one
+   step tree per thread. Without them the entrant initialises its own. *)
+let run_entrant ?(weights = []) ?roots ~nreg ~spill_bases ~wprogs stage =
   let reject reason = Error [ Rejected { stage; reason } ] in
   let finish inter = Ok (finish_inter ~nreg ~provenance:stage ~trail:[] inter) in
   let from_inter = function
     | Error (`Infeasible msg) -> reject msg
     | Ok inter -> finish inter
   in
+  let roots () =
+    match roots with Some ths -> ths | None -> List.map Inter.init_thread wprogs
+  in
   match
     match stage with
     | Balanced | Balanced_relaxed ->
-      from_inter (Inter.allocate ~weights ~nreg wprogs)
+      from_inter (Inter.allocate ~weights ~roots:(roots ()) ~nreg wprogs)
     | Balanced_budget b -> (
-      match Inter.allocate ~weights ~nreg wprogs with
+      match Inter.allocate ~weights ~roots:(roots ()) ~nreg wprogs with
       | Error (`Infeasible msg) -> reject msg
       | Ok inter ->
         let moves = Inter.total_moves inter in
@@ -542,7 +548,7 @@ let run_entrant ?(weights = []) ~nreg ~spill_bases ~wprogs stage =
           reject (Fmt.str "%d moves exceed the budget of %d" moves b)
         else finish inter)
     | Balanced_zero_cost -> (
-      match Inter.tighten_zero_cost ~nreg wprogs with
+      match Inter.tighten_zero_cost ~roots:(roots ()) ~nreg wprogs with
       | Error (`Infeasible msg) -> reject msg
       | Ok inter ->
         let d = Inter.demand inter.Inter.threads in
@@ -552,19 +558,24 @@ let run_entrant ?(weights = []) ~nreg ~spill_bases ~wprogs stage =
                d nreg)
         else finish inter)
     | Balanced_shuffled s -> (
-      let arr = Array.of_list wprogs in
-      let n = Array.length arr in
+      let n = List.length wprogs in
       let perm = permutation ~seed:s n in
-      let permuted = List.init n (fun j -> arr.(perm.(j))) in
+      let permute xs =
+        let a = Array.of_list xs in
+        List.init n (fun j -> a.(perm.(j)))
+      in
       (* weights travel with their threads through the shuffle *)
       let weights =
         if weights = [] then []
         else
-          let wa = Array.make n 1 in
-          List.iteri (fun i v -> if i < n then wa.(i) <- v) weights;
-          List.init n (fun j -> wa.(perm.(j)))
+          permute
+            (List.init n (fun i ->
+                 Option.value (List.nth_opt weights i) ~default:1))
       in
-      match Inter.allocate ~weights ~nreg permuted with
+      match
+        Inter.allocate ~weights ~roots:(permute (roots ())) ~nreg
+          (permute wprogs)
+      with
       | Error (`Infeasible msg) -> reject msg
       | Ok inter ->
         (* The balancer saw the threads in permuted order; put its
@@ -573,39 +584,24 @@ let run_entrant ?(weights = []) ~nreg ~spill_bases ~wprogs stage =
         Array.iteri (fun j th -> unperm.(perm.(j)) <- th) inter.Inter.threads;
         finish { inter with Inter.threads = unperm })
     | Sra_exhaustive -> (
-      let ths = List.map Inter.init_thread wprogs in
+      let ths = roots () in
       let nthd = List.length ths in
-      let b0 = (List.hd ths).Inter.bounds in
-      if not (List.for_all (fun t -> t.Inter.bounds = b0) ths) then
-        reject "mix is not symmetric: thread register-demand bounds differ"
+      let th0 = List.hd ths in
+      if not (List.for_all (fun t -> t.Inter.bounds = th0.Inter.bounds) ths)
+      then reject "mix is not symmetric: thread register-demand bounds differ"
       else
-        match Sra.allocate ~nreg ~nthd (List.hd wprogs) with
+        match Sra.allocate ~root:th0 ~nreg ~nthd th0.Inter.prog with
         | Error (`Infeasible msg) -> reject msg
         | Ok sra ->
           let target_pr = sra.Sra.pr and target_sr = sra.Sra.sr in
           (* Drive every thread to the symmetric point the sweep chose;
-             threads share bounds but not necessarily programs. *)
-          let reduce t =
-            let { Estimate.max_pr; max_r; _ } = t.Inter.bounds in
-            if target_pr = max_pr && target_sr = max_r - max_pr then
-              Some
-                { Intra.ctx = t.Inter.ctx;
-                  cost = Context.move_count t.Inter.ctx }
-            else
-              Intra.reduce_to t.Inter.ctx ~pr:max_pr ~r:max_r ~target_pr
-                ~target_sr
-          in
+             threads share bounds but not necessarily programs. Thread 0
+             walks the path the sweep already took. *)
           let rec drive acc = function
             | [] -> Ok (Array.of_list (List.rev acc))
             | t :: rest -> (
-              match reduce t with
-              | Some red ->
-                drive
-                  ({ t with Inter.ctx = red.Intra.ctx;
-                            pr = target_pr;
-                            sr = target_sr }
-                  :: acc)
-                  rest
+              match Intra.reduce_to t.Inter.state ~target_pr ~target_sr with
+              | Some red -> drive (Inter.with_state t red :: acc) rest
               | None -> Error t.Inter.name)
           in
           (match drive [] ths with
@@ -614,7 +610,7 @@ let run_entrant ?(weights = []) ~nreg ~spill_bases ~wprogs stage =
               (Fmt.str "thread %s cannot reach the symmetric point (PR=%d, SR=%d)"
                  name target_pr target_sr)
           | Ok threads ->
-            finish { Inter.threads; nreg; sgr = target_sr }))
+            finish (Inter.of_threads ~nreg threads)))
     | Chaitin_fallback ->
       chaitin_floor ~weights ~nreg ~spill_bases ~stage ~trail:[] wprogs
   with
@@ -699,18 +695,36 @@ let portfolio ?(pool = Npra_par.Pool.sequential) ?(nreg = 128) ?(weights = [])
        else [])
     @ [ Chaitin_fallback ]
   in
+  let keyed =
+    List.map
+      (fun stage ->
+        ( stage,
+          cache_key ~tag:(strategy_tag stage) ~weights ~nreg ~move_budget
+            ~spill_bases:(Some spill_bases_v) progs ))
+      slate_stages
+  in
+  (* One init per thread for the whole race, skipped when every entrant
+     that would use it is already cached. Every entrant walks the same
+     roots, so a step one entrant took is a read for the others; the
+     trees die with this call. *)
+  let roots =
+    if
+      List.for_all
+        (fun (stage, key) ->
+          stage = Chaitin_fallback
+          || Mutex.protect cache_lock (fun () -> Hashtbl.mem cache key))
+        keyed
+    then None
+    else Some (Npra_par.Pool.map_list pool Inter.init_thread wprogs)
+  in
   let results =
     Npra_par.Pool.map_list pool
-      (fun stage ->
-        let key =
-          cache_key ~tag:(strategy_tag stage) ~weights ~nreg ~move_budget
-            ~spill_bases:(Some spill_bases_v) progs
-        in
+      (fun (stage, key) ->
         ( stage,
           cached ~key (fun () ->
-              run_entrant ~weights ~nreg ~spill_bases:spill_bases_v ~wprogs
-                stage) ))
-      slate_stages
+              run_entrant ~weights ?roots ~nreg ~spill_bases:spill_bases_v
+                ~wprogs stage) ))
+      keyed
   in
   let classified =
     List.map

@@ -5,7 +5,12 @@
    balancer evaluates every legal single-step reduction — one thread's PR,
    or the SR of all threads currently at the maximum — through the
    intra-thread allocator, and commits the cheapest. Shared registers are
-   pooled, so only the maximum SR counts; private registers add up. *)
+   pooled, so only the maximum SR counts; private registers add up.
+
+   Every thread carries its {!Intra.state}: a committed step moves one
+   thread to a child state and leaves the others where they were, so the
+   next round's candidates on unchanged threads are slot reads, not new
+   colour eliminations. *)
 
 open Npra_ir
 
@@ -16,10 +21,10 @@ type thread_alloc = {
   bounds : Estimate.bounds;
   pr : int;
   sr : int;
+  state : Intra.state;
 }
 
-let cost_of t = Context.move_count t.ctx
-let r_of t = t.pr + t.sr
+let cost_of t = Intra.cost t.state
 
 type t = {
   threads : thread_alloc array;
@@ -40,14 +45,20 @@ type error = [ `Infeasible of string ]
 let init_thread prog =
   let ctx = Context.create prog in
   let ctx, bounds = Estimate.run ctx in
+  let { Estimate.max_pr; max_r; _ } = bounds in
   {
     name = prog.Prog.name;
     prog;
     ctx;
     bounds;
-    pr = bounds.Estimate.max_pr;
-    sr = bounds.Estimate.max_r - bounds.Estimate.max_pr;
+    pr = max_pr;
+    sr = max_r - max_pr;
+    state = Intra.root ctx ~pr:max_pr ~r:max_r;
   }
+
+let with_state th state =
+  let pr = Intra.pr state in
+  { th with ctx = Intra.ctx state; pr; sr = Intra.r state - pr; state }
 
 (* A candidate single-step reduction: the updated thread records and the
    total move-cost increase, scaled by the owning thread's weight so a
@@ -56,33 +67,25 @@ let init_thread prog =
    the paper's unweighted Figure-8 behaviour exactly. *)
 type candidate = { delta : int; apply : thread_alloc array }
 
-let pr_candidate ~w threads i =
+(* Thread [i] moved to its [step] child; the guards against the lower
+   bounds live in the step itself. *)
+let step_candidate ~w threads i step =
   let th = threads.(i) in
-  if th.pr - 1 < th.bounds.Estimate.min_pr || r_of th - 1 < th.bounds.Estimate.min_r
-  then None
-  else
-    match Intra.reduce_pr th.ctx ~pr:th.pr ~r:(r_of th) with
-    | None -> None
-    | Some red ->
-      let th' = { th with ctx = red.Intra.ctx; pr = th.pr - 1 } in
+  Option.map
+    (fun red ->
       let apply = Array.copy threads in
-      apply.(i) <- th';
-      Some { delta = w i * (red.Intra.cost - cost_of th); apply }
+      apply.(i) <- with_state th red;
+      { delta = w i * (Intra.cost red - cost_of th); apply })
+    (step th.state)
+
+let pr_candidate ~w threads i = step_candidate ~w threads i Intra.reduce_pr
 
 let demote_candidate ~w threads i =
   (* Weak PR-step: only profitable when this thread's SR is below the
      pooled maximum, so growing it by one does not grow SGR. *)
-  let th = threads.(i) in
   let max_sr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
-  if th.sr >= max_sr || th.pr - 1 < th.bounds.Estimate.min_pr then None
-  else
-    match Intra.demote_pr th.ctx ~pr:th.pr ~r:(r_of th) with
-    | None -> None
-    | Some red ->
-      let th' = { th with ctx = red.Intra.ctx; pr = th.pr - 1; sr = th.sr + 1 } in
-      let apply = Array.copy threads in
-      apply.(i) <- th';
-      Some { delta = w i * (red.Intra.cost - cost_of th); apply }
+  if threads.(i).sr >= max_sr then None
+  else step_candidate ~w threads i Intra.demote_pr
 
 let sr_candidate ~w threads =
   let max_sr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
@@ -93,15 +96,12 @@ let sr_candidate ~w threads =
     let ok = ref true in
     Array.iteri
       (fun j th ->
-        if !ok && th.sr = max_sr then begin
-          if r_of th - 1 < th.bounds.Estimate.min_r then ok := false
-          else
-            match Intra.reduce_sr th.ctx ~pr:th.pr ~r:(r_of th) with
-            | None -> ok := false
-            | Some red ->
-              delta := !delta + (w j * (red.Intra.cost - cost_of th));
-              apply.(j) <- { th with ctx = red.Intra.ctx; sr = th.sr - 1 }
-        end)
+        if !ok && th.sr = max_sr then
+          match Intra.reduce_sr th.state with
+          | None -> ok := false
+          | Some red ->
+            delta := !delta + (w j * (Intra.cost red - cost_of th));
+            apply.(j) <- with_state th red)
       threads;
     if !ok then Some { delta = !delta; apply } else None
   end
@@ -138,8 +138,13 @@ let rec reduce_loop ~w threads stop =
     | Some c when c.delta <= 0 -> reduce_loop ~w c.apply `Zero_cost
     | Some _ | None -> Ok threads)
 
-let finish threads nreg =
+(* The result keeps each thread's final point but none of the step tree
+   below it: the memo lives only as long as the search that built it. *)
+let of_threads ~nreg threads =
   let sgr = Array.fold_left (fun acc t -> max acc t.sr) 0 threads in
+  let threads =
+    Array.map (fun t -> { t with state = Intra.detach t.state }) threads
+  in
   { threads; nreg; sgr }
 
 (* Per-thread move-cost weights: missing entries default to 1, negative
@@ -150,18 +155,22 @@ let weight_fn weights n =
   List.iteri (fun i v -> if i < n then a.(i) <- max 0 v) weights;
   fun i -> a.(i)
 
-let allocate ?(weights = []) ~nreg progs =
-  let threads = Array.of_list (List.map init_thread progs) in
+let roots_of roots progs =
+  Array.of_list
+    (match roots with Some ths -> ths | None -> List.map init_thread progs)
+
+let allocate ?(weights = []) ?roots ~nreg progs =
+  let threads = roots_of roots progs in
   let w = weight_fn weights (Array.length threads) in
   match reduce_loop ~w threads (`Fit nreg) with
-  | Ok threads -> Ok (finish threads nreg)
+  | Ok threads -> Ok (of_threads ~nreg threads)
   | Error e -> Error e
 
-let tighten_zero_cost ~nreg progs =
-  let threads = Array.of_list (List.map init_thread progs) in
+let tighten_zero_cost ?roots ~nreg progs =
+  let threads = roots_of roots progs in
   let w = weight_fn [] (Array.length threads) in
   match reduce_loop ~w threads `Zero_cost with
-  | Ok threads -> Ok (finish threads nreg)
+  | Ok threads -> Ok (of_threads ~nreg threads)
   | Error e -> Error e
 
 let pp ppf t =

@@ -5,7 +5,11 @@
     balancer greedily commits the cheapest single-step reduction — one
     thread's private count, or the shared count of all threads at the
     current maximum — until the pooled demand [Σ PRᵢ + max SRᵢ] fits the
-    register file. *)
+    register file.
+
+    Each thread carries its {!Intra.state}, so a round re-evaluating a
+    thread that the previous round did not change reads the memoised
+    steps instead of recomputing them. *)
 
 open Npra_ir
 
@@ -16,6 +20,8 @@ type thread_alloc = {
   bounds : Estimate.bounds;
   pr : int;  (** private registers assigned *)
   sr : int;  (** shared registers needed *)
+  state : Intra.state;
+      (** the step-tree node at [(pr, pr + sr)]; its context is [ctx] *)
 }
 
 type t = {
@@ -35,10 +41,31 @@ val cost_of : thread_alloc -> int
 
 val init_thread : Prog.t -> thread_alloc
 (** Estimation only: the thread at its upper bounds, zero moves. The
-    program must be in web form ({!Npra_cfg.Webs.rename}). *)
+    program must be in web form ({!Npra_cfg.Webs.rename}). Its [state]
+    is the root of the thread's step tree: callers that run several
+    searches on the same threads pass the same roots to share it. *)
 
-val allocate : ?weights:int list -> nreg:int -> Prog.t list -> (t, error) result
+val with_state : thread_alloc -> Intra.state -> thread_alloc
+(** The thread moved to another node of its step tree. *)
+
+val of_threads : nreg:int -> thread_alloc array -> t
+(** The allocation of threads already at their final points: [sgr] is
+    their maximum SR, and every state is detached ({!Intra.detach}) so
+    the result holds none of the step trees it was searched in. *)
+
+val allocate :
+  ?weights:int list ->
+  ?roots:thread_alloc list ->
+  nreg:int ->
+  Prog.t list ->
+  (t, error) result
 (** The paper's Figure-8 algorithm. Programs must be in web form.
+
+    [roots] are the threads already initialised by {!init_thread} from
+    the programs, in order; when given, the programs are not
+    initialised again and the search reuses every step the roots' trees
+    already hold. The result comes from {!of_threads}, so no memo
+    outlives the caller's roots.
 
     [weights] biases the greedy loop for adaptive re-balancing: thread
     [i]'s move-cost increase is multiplied by [List.nth weights i]
@@ -47,8 +74,10 @@ val allocate : ?weights:int list -> nreg:int -> Prog.t list -> (t, error) result
     entries default to 1; [weights = []] (the default) is byte-identical
     to the unweighted algorithm. *)
 
-val tighten_zero_cost : nreg:int -> Prog.t list -> (t, error) result
+val tighten_zero_cost :
+  ?roots:thread_alloc list -> nreg:int -> Prog.t list -> (t, error) result
 (** Keeps reducing while some reduction is free of move insertions — the
-    setting of the paper's Figure 14 experiment. *)
+    setting of the paper's Figure 14 experiment. [roots] as for
+    {!allocate}. *)
 
 val pp : t Fmt.t

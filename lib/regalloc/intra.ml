@@ -289,96 +289,150 @@ let eliminate_color ?(scope = `All) ctx ~c ~pr ~r =
   let ctx = Context.renumber !ctx perm in
   Context.coalesce ctx
 
-type reduction = { ctx : Context.t; cost : int }
+(* The search state: a context at (pr, r) plus one once-filled slot per
+   single step. A step's result is a pure function of its state, so a
+   slot is written once, by whichever domain wins its compare-and-set; a
+   domain that loses the race computed the same child and returns the
+   published one. The paper's balancer
+   and the symmetric sweep re-ask the same states for the same steps
+   (every greedy round re-evaluates every thread; SRA targets share path
+   prefixes); the slots turn those repeats into reads. Children hang off
+   their parent only, so the memo lives exactly as long as the root the
+   caller holds. *)
+type state = {
+  ctx : Context.t;
+  pr : int;
+  r : int;
+  cost : int Atomic.t;
+      (* move instructions implied by [ctx]; -1 until a root is first
+         asked, so a search that never steps never counts them *)
+  min_pr : int;
+  min_r : int;
+  strong : slot Atomic.t;
+  demote : slot Atomic.t;
+  shared : slot Atomic.t;
+}
+
+and slot = Unknown | Known of state option
+
+let make ctx ~pr ~r ~cost ~min_pr ~min_r =
+  {
+    ctx; pr; r; min_pr; min_r;
+    cost = Atomic.make cost;
+    strong = Atomic.make Unknown;
+    demote = Atomic.make Unknown;
+    shared = Atomic.make Unknown;
+  }
+
+let root ctx ~pr ~r =
+  make ctx ~pr ~r ~cost:(-1) ~min_pr:(min_pr ctx) ~min_r:(min_r ctx)
+
+let cost s =
+  match Atomic.get s.cost with
+  | -1 ->
+    (* racing domains count the same moves *)
+    let c = Context.move_count s.ctx in
+    Atomic.set s.cost c;
+    c
+  | c -> c
+
+let detach s =
+  make s.ctx ~pr:s.pr ~r:s.r ~cost:(Atomic.get s.cost) ~min_pr:s.min_pr
+    ~min_r:s.min_r
+
+let ctx s = s.ctx
+let pr s = s.pr
+let r s = s.r
+
+let rec memo slot compute =
+  match Atomic.get slot with
+  | Known child -> child
+  | Unknown ->
+    ignore (Atomic.compare_and_set slot Unknown (Known (compute ())));
+    memo slot compute
 
 (* Evaluates colour eliminations lazily, keeping the cheapest; stops
    early when an elimination adds no moves at all (nothing can beat it,
    since the cost function is the total move count and eliminations never
-   remove pre-existing crossings). *)
-let try_colors ?scope ctx colors ~pr ~r =
-  let floor = Context.move_count ctx in
+   remove pre-existing crossings). The winner becomes a child state at
+   [(pr', r')]. *)
+let try_colors ?scope s colors ~pr' ~r' =
+  let floor = cost s in
   let rec go best = function
     | [] -> best
     | c :: rest -> (
-      match eliminate_color ?scope ctx ~c ~pr ~r with
+      match eliminate_color ?scope s.ctx ~c ~pr:s.pr ~r:s.r with
       | exception Infeasible -> go best rest
       | ctx' ->
         let cost = Context.move_count ctx' in
         let best =
           match best with
-          | Some b when b.cost <= cost -> Some b
-          | Some _ | None -> Some { ctx = ctx'; cost }
+          | Some (_, b) when b <= cost -> best
+          | Some _ | None -> Some (ctx', cost)
         in
         if cost <= floor then best else go best rest)
   in
-  go None colors
-
-let best reductions = reductions
+  Option.map
+    (fun (ctx, cost) ->
+      make ctx ~pr:pr' ~r:r' ~cost ~min_pr:s.min_pr ~min_r:s.min_r)
+    (go None colors)
 
 let private_colors pr = List.init pr (fun i -> i + 1)
 let shared_colors pr r = List.init (max 0 (r - pr)) (fun i -> pr + 1 + i)
 
-let reduce_pr ctx ~pr ~r =
+let reduce_pr s =
   (* Strong PR-step: (PR-1, SR, R-1). *)
-  if pr - 1 < min_pr ctx || r - 1 < min_r ctx then None
-  else best (try_colors ctx (private_colors pr) ~pr ~r)
+  memo s.strong (fun () ->
+      if s.pr - 1 < s.min_pr || s.r - 1 < s.min_r then None
+      else try_colors s (private_colors s.pr) ~pr':(s.pr - 1) ~r':(s.r - 1))
 
-let demote_pr ctx ~pr ~r =
+let demote_pr s =
   (* Weak PR-step: (PR-1, SR+1, R) — a private colour becomes shared. *)
-  if pr - 1 < min_pr ctx then None
-  else best (try_colors ~scope:`Boundary ctx (private_colors pr) ~pr ~r)
+  memo s.demote (fun () ->
+      if s.pr - 1 < s.min_pr then None
+      else
+        try_colors ~scope:`Boundary s (private_colors s.pr) ~pr':(s.pr - 1)
+          ~r':s.r)
 
-let reduce_sr ctx ~pr ~r =
-  if r - 1 < min_r ctx || r <= pr then None
-  else best (try_colors ctx (shared_colors pr r) ~pr ~r)
+let reduce_sr s =
+  (* SR-step: (PR, SR-1, R-1). *)
+  memo s.shared (fun () ->
+      if s.r - 1 < s.min_r || s.r <= s.pr then None
+      else try_colors s (shared_colors s.pr s.r) ~pr':s.pr ~r':(s.r - 1))
 
-let reduce_to ctx ~pr ~r ~target_pr ~target_sr =
-  (* Drives the context to exactly (target_pr, target_sr), choosing the
+let reduce_to s ~target_pr ~target_sr =
+  (* Drives the state to exactly (target_pr, target_sr), choosing the
      cheapest applicable step each time:
        strong PR   (pr-1, sr)    when pr > target and sr is not short
        demote PR   (pr-1, sr+1)  when pr > target and sr must grow
        reduce SR   (pr, sr-1)    when sr > target *)
-  let rec go ctx pr sr =
-    if pr = target_pr && sr = target_sr then
-      Some { ctx; cost = Context.move_count ctx }
+  let rec go s =
+    let sr = s.r - s.pr in
+    if s.pr = target_pr && sr = target_sr then Some s
     else begin
-      let r = pr + sr in
       let step_strong =
-        if pr > target_pr && sr >= target_sr then reduce_pr ctx ~pr ~r
-        else None
+        if s.pr > target_pr && sr >= target_sr then reduce_pr s else None
       in
       let step_demote =
-        if pr > target_pr && sr < target_sr then demote_pr ctx ~pr ~r
-        else None
+        if s.pr > target_pr && sr < target_sr then demote_pr s else None
       in
-      let step_sr =
-        if sr > target_sr then reduce_sr ctx ~pr ~r else None
-      in
-      let cands =
-        List.filter_map
-          (fun (kind, c) -> Option.map (fun red -> (kind, red)) c)
-          [
-            (`Strong, step_strong); (`Demote, step_demote); (`Sr, step_sr);
-          ]
-      in
+      let step_sr = if sr > target_sr then reduce_sr s else None in
       match
-        List.sort (fun (_, a) (_, b) -> Int.compare a.cost b.cost) cands
+        List.sort
+          (fun a b -> Int.compare (cost a) (cost b))
+          (List.filter_map Fun.id [ step_strong; step_demote; step_sr ])
       with
       | [] -> None
-      | (kind, red) :: _ -> (
-        match kind with
-        | `Strong -> go red.ctx (pr - 1) sr
-        | `Demote -> go red.ctx (pr - 1) (sr + 1)
-        | `Sr -> go red.ctx pr (sr - 1))
+      | child :: _ -> go child
     end
   in
   if
-    target_pr < min_pr ctx
-    || target_pr + target_sr < min_r ctx
-    || target_pr > pr
-    || target_sr > (r - pr) + (pr - target_pr)
+    target_pr < s.min_pr
+    || target_pr + target_sr < s.min_r
+    || target_pr > s.pr
+    || target_sr > (s.r - s.pr) + (s.pr - target_pr)
   then None
-  else go ctx pr (r - pr)
+  else go s
 
 (* The paper's Lemma 1 makes (MinPR, MinR) always reachable on the IXP,
    whose memory reads land in transfer registers. Our machine writes load
@@ -386,9 +440,10 @@ let reduce_to ctx ~pr ~r ~target_pr ~target_sr =
    (see {!Context.hazard_neighbors}); in rare shapes they push the floor
    up by a register. [reduce_to_best] finds the nearest reachable point:
    candidates at increasing extra register count, preferring extra shared
-   registers over extra private ones. *)
-let reduce_to_best ctx ~pr ~r ~target_pr ~target_sr =
-  let sr0 = r - pr in
+   registers over extra private ones. Every candidate walks from the same
+   state, so their common prefixes are stepped once. *)
+let reduce_to_best s ~target_pr ~target_sr =
+  let pr = s.pr and sr0 = s.r - s.pr in
   let max_extra = max 0 (pr + sr0 - (target_pr + target_sr)) in
   let rec try_extra extra =
     if extra > max_extra then None
@@ -402,7 +457,7 @@ let reduce_to_best ctx ~pr ~r ~target_pr ~target_sr =
           let tsr = total - tpr in
           if tsr < 0 || tsr > sr0 + (pr - tpr) then try_pr (tpr + 1)
           else
-            match reduce_to ctx ~pr ~r ~target_pr:tpr ~target_sr:tsr with
+            match reduce_to s ~target_pr:tpr ~target_sr:tsr with
             | Some red -> Some (red, tpr, tsr)
             | None -> try_pr (tpr + 1)
         end

@@ -5,7 +5,8 @@
    [Nthd * PR + SR <= Nreg]. The solution space is small enough to
    traverse exhaustively: for every feasible (PR, SR) pair we drive one
    context there with the intra-thread allocator and keep the cheapest
-   allocation. *)
+   allocation. Every target walks the same root's step tree, so targets
+   whose greedy paths share a prefix share its steps. *)
 
 open Npra_ir
 
@@ -24,9 +25,11 @@ type error = [ `Infeasible of string ]
 
 let demand t = (t.nthd * t.pr) + t.sr
 
-let allocate ~nreg ~nthd prog =
-  let ctx0 = Context.create prog in
-  let ctx0, bounds = Estimate.run ctx0 in
+let allocate ?root ~nreg ~nthd prog =
+  let root =
+    match root with Some th -> th | None -> Inter.init_thread prog
+  in
+  let bounds = root.Inter.bounds in
   let { Estimate.min_pr; min_r; max_pr; max_r } = bounds in
   let max_sr = max_r - max_pr in
   let best = ref None in
@@ -37,26 +40,19 @@ let allocate ~nreg ~nthd prog =
        both fits the budget and is reachable from the estimate. *)
     let sr = min max_sr sr_budget in
     if sr >= sr_floor && sr_budget >= sr_floor then begin
-      let result =
-        if pr = max_pr && sr = max_sr then
-          Some { Intra.ctx = ctx0; cost = Context.move_count ctx0 }
-        else
-          Intra.reduce_to ctx0 ~pr:max_pr ~r:max_r ~target_pr:pr
-            ~target_sr:sr
-      in
-      match result with
+      match Intra.reduce_to root.Inter.state ~target_pr:pr ~target_sr:sr with
       | None -> ()
       | Some red ->
         let cand =
           {
             name = prog.Prog.name;
             prog;
-            ctx = red.Intra.ctx;
+            ctx = Intra.ctx red;
             bounds;
             nthd;
             pr;
             sr;
-            cost = red.Intra.cost;
+            cost = Intra.cost red;
           }
         in
         let better =

@@ -22,7 +22,12 @@ type error = [ `Infeasible of string ]
 val demand : t -> int
 (** [Nthd * PR + SR]. *)
 
-val allocate : nreg:int -> nthd:int -> Prog.t -> (t, error) result
-(** The program must be in web form ({!Npra_cfg.Webs.rename}). *)
+val allocate :
+  ?root:Inter.thread_alloc -> nreg:int -> nthd:int -> Prog.t -> (t, error) result
+(** The program must be in web form ({!Npra_cfg.Webs.rename}). The sweep
+    walks one step tree from [root] ({!Inter.init_thread} of the program,
+    computed when omitted), so the walks to different (PR, SR) targets
+    share their common prefixes, and a caller that keeps the root can
+    walk to the chosen point again for free. *)
 
 val pp : t Fmt.t

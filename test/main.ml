@@ -2,7 +2,7 @@ let () =
   Alcotest.run "npra"
     (List.concat
        [
-         Test_ir.suite; Test_cfg.suite; Test_regalloc.suite; Test_inter.suite;
+         Test_ir.suite; Test_cfg.suite; Test_regalloc.suite; Test_step_tree.suite; Test_inter.suite;
          Test_rewrite.suite; Test_sim.suite; Test_asm.suite;
          Test_workloads.suite; Test_pipeline.suite; Test_props.suite;
          Test_npc.suite; Test_opt.suite; Test_paper_examples.suite; Test_more.suite; Test_kernel_semantics.suite;
@@ -10,5 +10,5 @@ let () =
          Test_diag.suite; Test_fuzz.suite; Test_sim_memory.suite;
          Test_traffic.suite; Test_par.suite; Test_portfolio.suite;
          Test_chaos.suite; Test_adapt.suite; Test_rng.suite;
-         Test_chip.suite;
+         Test_chip.suite; Test_cli.suite;
        ])

@@ -239,11 +239,11 @@ let demote_tests =
         let ctx, b = Estimate.run ctx in
         let pr = b.Estimate.max_pr and r = b.Estimate.max_r in
         if pr > b.Estimate.min_pr then
-          match Intra.demote_pr ctx ~pr ~r with
+          match Intra.demote_pr (Intra.root ctx ~pr ~r) with
           | None -> Alcotest.fail "demotion refused above the floor"
           | Some red ->
             check Alcotest.int "valid at (pr-1, r)" 0
-              (List.length (Context.check red.Intra.ctx ~pr:(pr - 1) ~r)));
+              (List.length (Context.check (Intra.ctx red) ~pr:(pr - 1) ~r)));
     test "the balancer reduces below the naive pooled estimate" (fun () ->
         (* drr (PR slack: MaxPR 25 vs MinPR 18) next to fir2dim (big SR):
            one register under the naive demand forces a PR-step or a

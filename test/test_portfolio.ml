@@ -317,11 +317,37 @@ let fingerprint (p : Pipeline.portfolio) =
     p.Pipeline.winner.Pipeline.programs;
   Buffer.contents buf
 
+(* One entrant's own result: its programs and score, or its trail. *)
+let entrant_fingerprint = function
+  | Ok b ->
+    Fmt.str "%a %a\n%s" Pipeline.pp_stage b.Pipeline.provenance
+      Pipeline.pp_score (Pipeline.static_score b)
+      (String.concat "" (List.map Npra_ir.Prog.to_string b.Pipeline.programs))
+  | Error trail ->
+    Fmt.str "failed: %a\n" (Fmt.list ~sep:Fmt.sp Pipeline.pp_diagnostic) trail
+
+(* The result the race left in the cache for [stage] (portfolio defaults:
+   no weights, no move budget). *)
+let raced_entrant ?(nreg = 128) ~spill_bases progs stage =
+  Hashtbl.find_opt Pipeline.cache
+    (Pipeline.cache_key ~tag:(Pipeline.strategy_tag stage) ~nreg
+       ~move_budget:None ~spill_bases:(Some spill_bases) progs)
+
+(* Every entrant of the slate, not only the winner. *)
+let slate_fingerprint ~spill_bases progs (p : Pipeline.portfolio) =
+  String.concat ""
+    (List.map
+       (fun (stage, _) ->
+         match raced_entrant ~spill_bases progs stage with
+         | Some r -> entrant_fingerprint r
+         | None -> Fmt.str "%a: no cache entry\n" Pipeline.pp_stage stage)
+       p.Pipeline.slate)
+
 let run_at ~jobs ~seed (progs, spill_bases) =
   (* a cold cache each run so even the Cache_hit notes must agree *)
   Pipeline.cache_clear ();
-  fingerprint
-    (portfolio_exn ~pool:(Pool.create ~jobs ()) ~spill_bases ~seed progs)
+  let p = portfolio_exn ~pool:(Pool.create ~jobs ()) ~spill_bases ~seed progs in
+  fingerprint p ^ slate_fingerprint ~spill_bases progs p
 
 let jobs_tests =
   [
@@ -350,9 +376,59 @@ let jobs_tests =
           (Experiments.portfolio_json ~seed:5 ~quick:true (rows 4)));
   ]
 
+(* ---------------- shared roots ---------------- *)
+
+(* The race initialises each thread once and every entrant walks the
+   same step trees. Sharing must be invisible: each entrant's result
+   equals that entrant run alone on freshly initialised threads. *)
+let shared_root_tests =
+  List.map
+    (fun (name, ids, nreg) ->
+      test (Fmt.str "%s: every raced entrant equals the entrant run alone" name)
+        (fun () ->
+          Pipeline.cache_clear ();
+          let progs, spill_bases = progs_of ids in
+          let p = portfolio_exn ~nreg ~spill_bases ~seed:1 progs in
+          let wprogs = List.map Npra_cfg.Webs.rename progs in
+          List.iter
+            (fun (stage, _) ->
+              let label = Fmt.str "%a" Pipeline.pp_stage stage in
+              match raced_entrant ~nreg ~spill_bases progs stage with
+              | None -> Alcotest.failf "%s left no cache entry" label
+              | Some raced -> (
+                check Alcotest.string label
+                  (entrant_fingerprint
+                     (Pipeline.run_entrant ~nreg ~spill_bases ~wprogs stage))
+                  (entrant_fingerprint raced);
+                (* each result thread is the caller's thread at its own
+                   index, whatever order the entrant searched in *)
+                match raced with
+                | Ok { Pipeline.inter = Some inter; _ } ->
+                  check
+                    Alcotest.(list string)
+                    (label ^ ": threads in caller order")
+                    (List.map Npra_ir.Prog.to_string wprogs)
+                    (List.map
+                       (fun th -> Npra_ir.Prog.to_string th.Npra_regalloc.Inter.prog)
+                       (Array.to_list inter.Npra_regalloc.Inter.threads))
+                | Ok _ | Error _ -> ()))
+            p.Pipeline.slate))
+    [
+      ("crc32x4", [ "crc32"; "crc32"; "crc32"; "crc32" ], 128);
+      ("l2l3fwd_rx x4", [ "l2l3fwd_rx"; "l2l3fwd_rx"; "l2l3fwd_rx"; "l2l3fwd_rx" ], 128);
+      ("wraps_rx x4", [ "wraps_rx"; "wraps_rx"; "wraps_rx"; "wraps_rx" ], 128);
+      ("S3", [ "wraps_rx"; "wraps_tx"; "fir2dim"; "frag" ], 128);
+      (* the upper bounds need 30 registers: both l2l3fwd_tx threads
+         must demote a private register, so the balanced and shuffled
+         entrants walk, and share, real tree nodes *)
+      ("l2l3fwd_tx x2 + url x2 in 28 registers",
+       [ "l2l3fwd_tx"; "l2l3fwd_tx"; "url"; "url" ], 28);
+    ]
+
 let suite =
   [
     ("pipeline.portfolio", portfolio_tests);
+    ("pipeline.portfolio.shared_roots", shared_root_tests);
     ("pipeline.portfolio.probe", probe_tests);
     ("pipeline.portfolio.cache", cache_tests);
     ("pipeline.portfolio.engines", engine_tests);

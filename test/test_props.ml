@@ -201,13 +201,13 @@ let reduction_props =
         let target_pr = b.Estimate.min_pr in
         let target_sr = max 0 (b.Estimate.min_r - target_pr) in
         match
-          Intra.reduce_to_best ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
+          Intra.reduce_to_best (Intra.root ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r)
             ~target_pr ~target_sr
         with
         | None -> false
         | Some (red, pr, sr) ->
           pr + sr <= b.Estimate.min_r + 2
-          && Context.check red.Intra.ctx ~pr ~r:(pr + sr) = []);
+          && Context.check (Intra.ctx red) ~pr ~r:(pr + sr) = []);
     prop "exact reduction, when it succeeds, is hazard-clean" arb_recipe
       (fun r ->
         let prog = program_of r in
@@ -216,12 +216,12 @@ let reduction_props =
         let target_pr = b.Estimate.min_pr in
         let target_sr = max 0 (b.Estimate.min_r - target_pr) in
         match
-          Intra.reduce_to ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
+          Intra.reduce_to (Intra.root ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r)
             ~target_pr ~target_sr
         with
         | None -> true  (* floor lifted by a hazard: allowed *)
         | Some red ->
-          Context.check red.Intra.ctx ~pr:target_pr ~r:(target_pr + target_sr)
+          Context.check (Intra.ctx red) ~pr:target_pr ~r:(target_pr + target_sr)
           = []);
     prop "demotion preserves validity" arb_recipe (fun r ->
         let prog = program_of r in
@@ -230,9 +230,9 @@ let reduction_props =
         let pr = b.Estimate.max_pr and rr = b.Estimate.max_r in
         if pr <= b.Estimate.min_pr then true
         else
-          match Intra.demote_pr ctx ~pr ~r:rr with
+          match Intra.demote_pr (Intra.root ctx ~pr ~r:rr) with
           | None -> true
-          | Some red -> Context.check red.Intra.ctx ~pr:(pr - 1) ~r:rr = []);
+          | Some red -> Context.check (Intra.ctx red) ~pr:(pr - 1) ~r:rr = []);
   ]
 
 let pipeline_props =

@@ -225,7 +225,7 @@ let intra_tests =
         let ctx = context_of (Fixtures.fig3_thread1 ()) in
         let ctx, b = Estimate.run ctx in
         match
-          Intra.reduce_to ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
+          Intra.reduce_to (Intra.root ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r)
             ~target_pr:1 ~target_sr:1
         with
         | None -> Alcotest.fail "reduction failed"
@@ -234,17 +234,17 @@ let intra_tests =
              the definition sites of b and c are free rename points, so
              our engine can reach two registers at zero move cost. Either
              way the result must be a valid colouring. *)
-          check Alcotest.bool "cost is non-negative" true (red.Intra.cost >= 0);
+          check Alcotest.bool "cost is non-negative" true (Intra.cost red >= 0);
           check
             (Alcotest.list
                (Alcotest.testable Context.pp_check_error (fun _ _ -> false)))
             "valid at (1,1)" []
-            (Context.check red.Intra.ctx ~pr:1 ~r:2));
+            (Context.check (Intra.ctx red) ~pr:1 ~r:2));
     test "reduction below lower bound is refused" (fun () ->
         let ctx = context_of (Fixtures.fig3_thread1 ()) in
         let ctx, b = Estimate.run ctx in
         check Alcotest.bool "none" true
-          (Intra.reduce_to ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
+          (Intra.reduce_to (Intra.root ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r)
              ~target_pr:0 ~target_sr:1
           = None));
     test "eliminating an unused colour is free" (fun () ->
@@ -260,7 +260,7 @@ let intra_tests =
         let target_pr = b.Estimate.min_pr in
         let target_sr = max 0 (b.Estimate.min_r - target_pr) in
         match
-          Intra.reduce_to ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
+          Intra.reduce_to (Intra.root ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r)
             ~target_pr ~target_sr
         with
         | None -> Alcotest.fail "reduction failed"
@@ -269,13 +269,13 @@ let intra_tests =
             (Alcotest.list
                (Alcotest.testable Context.pp_check_error (fun _ _ -> false)))
             "valid at lower bound" []
-            (Context.check red.Intra.ctx ~pr:target_pr
+            (Context.check (Intra.ctx red) ~pr:target_pr
                ~r:(target_pr + target_sr)));
     test "reduce_to_best lands on or near the floor" (fun () ->
         let ctx = context_of (Fixtures.fig4_frag ()) in
         let ctx, b = Estimate.run ctx in
         match
-          Intra.reduce_to_best ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r
+          Intra.reduce_to_best (Intra.root ctx ~pr:b.Estimate.max_pr ~r:b.Estimate.max_r)
             ~target_pr:b.Estimate.min_pr
             ~target_sr:(max 0 (b.Estimate.min_r - b.Estimate.min_pr))
         with
